@@ -1,18 +1,19 @@
-// backend_shootout — wall-clock comparison of the CPU counting backends on
+// backend_shootout — wall-clock comparison of the host counting backends on
 // configurable workload shapes, and an end-to-end cross-check that every
 // backend returns bit-identical counts to the serial reference.
 //
 // The interesting axes are the ones the paper characterizes:
-//   * stream length (--db): favors database sharding (cpu-sharded)
-//   * candidate count (--episodes): favors episode parallelism (cpu-parallel)
 //   * alphabet size (--alphabet): favors the waiting-symbol bucket index
 //     (cpu-single-scan), whose per-symbol work is |episodes|/|alphabet|
+//   * stream length (--db) and candidate count (--episodes): favor splitting
+//     the stream over work-stealing single-scan workers (distrib-xN, one
+//     worker per hardware thread)
 //
 // The default configuration is a large-alphabet, long-stream shape where the
-// single-scan engine should beat the episode-parallel backend outright.
+// single-scan engines beat the serial reference by an order of magnitude.
 //
 //   backend_shootout [--db N] [--alphabet N] [--episodes N] [--level L]
-//                    [--threads T] [--expiry W] [--semantics subseq|contig]
+//                    [--expiry W] [--semantics subseq|contig]
 //                    [--repeat R] [--seed S] [--zipf S] [--prefix-pool P]
 //                    [--gpu] [--card 8800|gx2|gtx280] [--tpb N]
 //                    [--validate-planner] [--tpb-sweep A,B,...] [--devices N]
@@ -24,9 +25,9 @@
 // of P random prefixes instead of fully at random, mimicking the shared
 // prefixes of an apriori level-L candidate set; the measured prefix mass
 // lands near (P * (L-1) + |episodes|) / (|episodes| * L), the regime where
-// the shared-prefix trie formulations (cpu-trie-scan, gpusim-algo5-trie)
-// overtake the flat ones.  The planner-validation JSON records the measured
-// prefix_compression per level plus trie-vs-flat pick tallies.
+// the shared-prefix trie formulation (gpusim-algo5-trie) overtakes the flat
+// ones.  The planner-validation JSON records the measured prefix_compression
+// per level plus trie-vs-flat pick tallies.
 //
 // --gpu additionally runs every simulated-GPU formulation (algorithms 1-5)
 // through the functional engine and cross-checks its counts end to end; use
@@ -82,7 +83,6 @@
 #include "calib/fitter.hpp"
 #include "common/rng.hpp"
 #include "core/candidate_gen.hpp"
-#include "core/cpu_backend.hpp"
 #include "core/serial_counter.hpp"
 #include "data/generators.hpp"
 #include "distrib/distrib_backend.hpp"
@@ -98,7 +98,6 @@ struct Options {
   int alphabet = 200;
   int episodes = 400;
   int level = 3;
-  int threads = 0;
   std::int64_t expiry = 0;
   int repeat = 3;
   std::uint64_t seed = 2009;
@@ -174,7 +173,6 @@ int run_planner_validation(const Options& opt, const gm::core::Alphabet& alphabe
 
   planner::PlannerOptions popt;
   popt.device = gpusim::device_by_name(opt.card);
-  popt.cpu_threads = opt.threads;
   popt.enable_gpu = opt.gpu;
   if (!opt.tpb_sweep.empty()) popt.tpb_sweep = opt.tpb_sweep;
   else if (opt.gpu) popt.tpb_sweep = {opt.tpb};
@@ -213,7 +211,6 @@ int run_planner_validation(const Options& opt, const gm::core::Alphabet& alphabe
       .field("zipf", opt.zipf)
       .field("prefix_pool", opt.prefix_pool)
       .field("card", opt.card)
-      .field("cpu_threads", gm::core::resolved_thread_count(opt.threads))
       .field("seed", static_cast<std::int64_t>(opt.seed));
   json.end_object();
   json.field("max_regret_gate", opt.max_regret);
@@ -371,12 +368,12 @@ int run_planner_validation(const Options& opt, const gm::core::Alphabet& alphabe
     const gm::calib::FitReport fit = gm::calib::fit_profile(fitted, fit_samples);
     char host[192];
     std::snprintf(host, sizeof(host),
-                  "db=%lld alphabet=%d episodes=%d level=%d threads=%d expiry=%lld "
+                  "db=%lld alphabet=%d episodes=%d level=%d expiry=%lld "
                   "zipf=%g gpu=%s card=%s seed=%llu",
                   static_cast<long long>(opt.db_size), opt.alphabet, opt.episodes,
-                  opt.level, gm::core::resolved_thread_count(opt.threads),
-                  static_cast<long long>(opt.expiry), opt.zipf, opt.gpu ? "yes" : "no",
-                  opt.card.c_str(), static_cast<unsigned long long>(opt.seed));
+                  opt.level, static_cast<long long>(opt.expiry), opt.zipf,
+                  opt.gpu ? "yes" : "no", opt.card.c_str(),
+                  static_cast<unsigned long long>(opt.seed));
     fitted.host = host;
     gm::calib::save_profile(fitted, opt.fit_path);
     std::printf(
@@ -592,7 +589,6 @@ int main(int argc, char** argv) {
       else if (arg == "--episodes")
         opt.episodes = gm::bench::parse_int(arg, next(), 1, 10'000'000);
       else if (arg == "--level") opt.level = gm::bench::parse_int(arg, next(), 1, 255);
-      else if (arg == "--threads") opt.threads = gm::bench::parse_int(arg, next(), 0, 1 << 20);
       else if (arg == "--expiry")
         opt.expiry = gm::bench::parse_int64(arg, next(), 0, 1'000'000'000);
       else if (arg == "--repeat") opt.repeat = gm::bench::parse_int(arg, next(), 1, 1000);
@@ -718,17 +714,11 @@ int main(int argc, char** argv) {
 
   std::vector<std::int64_t> reference;
   double serial_ms = 0.0;
-  double parallel_ms = 0.0;
   bool all_agree = true;
-  double single_scan_ms = 0.0;
 
-  std::printf("%-20s %12s %10s %10s\n", "backend", "best ms", "vs serial", "agrees");
-  for (const auto name :
-       {"cpu-serial", "cpu-parallel", "cpu-sharded", "cpu-single-scan", "cpu-trie-scan"}) {
-    gm::service::BackendSpec spec;
-    spec.name = name;
-    spec.threads = opt.threads;
-    const auto backend = gm::service::make_backend(spec);
+  std::printf("%-28s %12s %10s %10s\n", "backend", "best ms", "vs serial", "agrees");
+  for (const auto name : {"cpu-serial", "cpu-single-scan", "distrib"}) {
+    const auto backend = gm::service::make_backend({.name = name});
 
     double best_ms = 0.0;
     gm::core::CountResult result;
@@ -745,9 +735,7 @@ int main(int argc, char** argv) {
       agrees = result.counts == reference;
       all_agree = all_agree && agrees;
     }
-    if (std::string(name) == "cpu-parallel") parallel_ms = best_ms;
-    if (std::string(name) == "cpu-single-scan") single_scan_ms = best_ms;
-    std::printf("%-20s %12.2f %9.2fx %10s\n", backend->name().c_str(), best_ms,
+    std::printf("%-28s %12.2f %9.2fx %10s\n", backend->name().c_str(), best_ms,
                 best_ms > 0 ? serial_ms / best_ms : 0.0, agrees ? "yes" : "NO");
   }
 
@@ -761,7 +749,7 @@ int main(int argc, char** argv) {
           "gpusim-algo" + std::to_string(gm::kernels::algorithm_number(algorithm));
       if (gm::kernels::is_block_level(algorithm) &&
           static_cast<std::int64_t>(opt.tpb) > opt.db_size) {
-        std::printf("%-20s %12s  (skipped: --tpb exceeds --db)\n", label.c_str(), "-");
+        std::printf("%-28s %12s  (skipped: --tpb exceeds --db)\n", label.c_str(), "-");
         continue;
       }
       gm::service::BackendSpec spec;
@@ -781,7 +769,7 @@ int main(int argc, char** argv) {
           request.expiry.enabled() && gm::kernels::is_block_level(algorithm);
       const bool agrees = result.counts == reference;
       if (!approximate) all_agree = all_agree && agrees;
-      std::printf("%-20s %12.2f %9.2fx %10s\n", label.c_str(), best_ms,
+      std::printf("%-28s %12.2f %9.2fx %10s\n", label.c_str(), best_ms,
                   best_ms > 0 ? serial_ms / best_ms : 0.0,
                   approximate ? (agrees ? "yes*" : "approx") : (agrees ? "yes" : "NO"));
     }
@@ -797,9 +785,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (parallel_ms > 0 && single_scan_ms > 0) {
-    std::printf("\nsingle-scan vs episode-parallel: %.2fx\n", parallel_ms / single_scan_ms);
-  }
   if (!all_agree) {
     std::cerr << "\nERROR: backend disagreement against the serial reference\n";
     return 1;

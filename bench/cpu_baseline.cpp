@@ -1,6 +1,7 @@
 // CPU baselines vs. the simulated GPU: the single-core reference miner (the
-// GMiner-class tool the paper motivates against) and the episode-parallel
-// multicore backend, on a reduced database so the bench completes in seconds.
+// GMiner-class tool the paper motivates against) and the multicore distrib
+// backend (work-stealing single-scan shards, one per hardware thread), on a
+// reduced database so the bench completes in seconds.
 // The GPU side reports the *predicted device time* for the same workload at
 // full paper scale, for context.
 #include <iostream>
@@ -9,6 +10,7 @@
 #include "core/candidate_gen.hpp"
 #include "core/cpu_backend.hpp"
 #include "data/generators.hpp"
+#include "service/backend_factory.hpp"
 
 int main() {
   using gm::core::Alphabet;
@@ -28,12 +30,12 @@ int main() {
   const auto serial_result = serial.count(request);
   std::cout << serial.name() << ": " << serial_result.host_ms << " ms\n";
 
-  gm::core::ParallelCpuBackend parallel;
-  const auto parallel_result = parallel.count(request);
-  std::cout << parallel.name() << ": " << parallel_result.host_ms << " ms (speedup "
-            << serial_result.host_ms / parallel_result.host_ms << "x)\n";
+  const auto distrib = gm::service::make_backend({.name = "distrib"});
+  const auto distrib_result = distrib->count(request);
+  std::cout << distrib->name() << ": " << distrib_result.host_ms << " ms (speedup "
+            << serial_result.host_ms / distrib_result.host_ms << "x)\n";
 
-  if (serial_result.counts != parallel_result.counts) {
+  if (serial_result.counts != distrib_result.counts) {
     std::cout << "ERROR: backend disagreement\n";
     return 1;
   }

@@ -15,7 +15,6 @@
 //     --requests <r>        requests per client       (default 50)
 //     --workers <w>         service worker threads    (default 4)
 //     --backend <name>      session backend           (default cpu-single-scan)
-//     --threads <n>         CPU backend threads       (default 2)
 //     --mine-templates <t>  distinct mine shapes      (default 3)
 //     --count-templates <t> distinct episode sets     (default 6)
 //     --mine-frac <f>       fraction of mine traffic  (default 0.4)
@@ -68,7 +67,6 @@ struct Options {
   int requests = 50;
   int workers = 4;
   std::string backend = "cpu-single-scan";
-  int threads = 2;
   int mine_templates = 3;
   int count_templates = 6;
   double mine_frac = 0.4;
@@ -84,7 +82,7 @@ struct Options {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--db N] [--alphabet K] [--clients C] [--requests R]\n"
-               "       [--workers W] [--backend NAME] [--threads N] [--mine-templates T]\n"
+               "       [--workers W] [--backend NAME] [--mine-templates T]\n"
                "       [--count-templates T] [--mine-frac F] [--max-batch B] [--budget-ms MS]\n"
                "       [--support A] [--max-level L] [--seed S] [--out FILE]\n"
                "       [--min-cache-hits N]\n",
@@ -117,7 +115,6 @@ int main(int argc, char** argv) {
       else if (arg == "--requests") opt.requests = bench::parse_int(arg, next(), 1, 1'000'000);
       else if (arg == "--workers") opt.workers = bench::parse_int(arg, next(), 1, 256);
       else if (arg == "--backend") opt.backend = next();
-      else if (arg == "--threads") opt.threads = bench::parse_int(arg, next(), 0, 1 << 10);
       else if (arg == "--mine-templates") opt.mine_templates = bench::parse_int(arg, next(), 1, 64);
       else if (arg == "--count-templates")
         opt.count_templates = bench::parse_int(arg, next(), 1, 256);
@@ -191,8 +188,7 @@ int main(int argc, char** argv) {
     // Shared-prefix telemetry: every count template's measured prefix mass,
     // and the formulation the planner picks for its workload (the same
     // plan_level call a session running `--backend auto` makes per level).
-    planner::PlannerOptions plan_options;
-    plan_options.cpu_threads = opt.threads;
+    const planner::PlannerOptions plan_options;
     std::vector<double> template_prefix_mass;
     int trie_picks = 0;
     int flat_picks = 0;
@@ -232,8 +228,7 @@ int main(int argc, char** argv) {
     }
 
     auto session = std::make_shared<service::MiningSession>(
-        dataset,
-        service::SessionOptions{.backend = {.name = opt.backend, .threads = opt.threads}});
+        dataset, service::SessionOptions{.backend = {.name = opt.backend}});
     service::MiningService service(
         session, {.workers = opt.workers,
                   .max_queue = static_cast<std::size_t>(opt.clients) *

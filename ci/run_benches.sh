@@ -41,18 +41,16 @@ step_counting() {
     --min-speedup 2 --min-events-per-sec 3000000 --out BENCH_counting.json
 }
 
-# CPU formulation race on a workload big enough for stable wall-clock;
-# --threads 1 keeps the gate about formulation choice rather than whether the
-# runner really delivers a core per worker.
+# CPU formulation race on a workload big enough for stable wall-clock.
 step_planner_cpu() {
   "$BENCH/backend_shootout" --validate-planner \
-    --db 150000 --alphabet 64 --episodes 150 --level 3 --threads 1 \
+    --db 150000 --alphabet 64 --episodes 150 --level 3 \
     --repeat 3 --max-regret 2.0 --json BENCH_shootout.json
 }
 
 step_planner_gpu() {
   "$BENCH/backend_shootout" --validate-planner \
-    --db 6000 --alphabet 26 --episodes 80 --level 3 --threads 1 \
+    --db 6000 --alphabet 26 --episodes 80 --level 3 \
     --repeat 2 --gpu --tpb-sweep 32,128 --max-regret 2.0 \
     --json BENCH_shootout_gpu.json
 }
@@ -62,7 +60,7 @@ step_planner_gpu() {
 # 2-3, so the 2x regret gate covers the trie-vs-flat decision too.
 step_planner_trie() {
   "$BENCH/backend_shootout" --validate-planner \
-    --db 20000 --alphabet 64 --episodes 1024 --level 3 --threads 1 \
+    --db 20000 --alphabet 64 --episodes 1024 --level 3 \
     --prefix-pool 8 --repeat 2 --gpu --tpb-sweep 32 --max-regret 2.0 \
     --json BENCH_shootout_trie.json
 }
@@ -72,7 +70,7 @@ step_planner_trie() {
 # the flip honest against the measured table.
 step_planner_devices() {
   "$BENCH/backend_shootout" --validate-planner \
-    --db 20000 --alphabet 26 --episodes 300 --level 3 --threads 1 \
+    --db 20000 --alphabet 26 --episodes 300 --level 3 \
     --repeat 2 --gpu --tpb-sweep 32 --devices 2 --max-regret 2.0 \
     --json BENCH_shootout_devices.json
 }
@@ -91,14 +89,14 @@ step_scaling() {
 # profile in planner-cpu).
 step_fit_calibration() {
   "$BENCH/backend_shootout" --fit-calibration BENCH_calibration.json \
-    --db 150000 --alphabet 64 --episodes 150 --level 3 --threads 1 \
+    --db 150000 --alphabet 64 --episodes 150 --level 3 \
     --repeat 3 --seed 2009 --json BENCH_shootout_fit.json
 }
 
 step_planner_fitted() {
   "$BENCH/backend_shootout" --validate-planner \
     --calibration BENCH_calibration.json \
-    --db 150000 --alphabet 64 --episodes 150 --level 3 --threads 1 \
+    --db 150000 --alphabet 64 --episodes 150 --level 3 \
     --repeat 3 --seed 2009 --json BENCH_shootout_fitted.json
 }
 

@@ -2,11 +2,11 @@
 // the "tool a downstream user would actually run".
 //
 //   gminer_cli [options] [dataset.txt]
-//     --backend <name>             counting backend       (default gpusim;
-//                                  names from service::backend_names();
-//                                  "auto" re-plans the formulation at every
-//                                  mining level from the analytic cost models)
-//     --threads <n>                CPU backend threads, 0 = hw (default 0)
+//     --backend <name>             counting backend       (default
+//                                  cpu-single-scan; names from
+//                                  service::backend_names(); "auto" re-plans
+//                                  the formulation at every mining level from
+//                                  the analytic cost models)
 //     --shards <n>                 distrib backends: shard/device count
 //                                  (0 = hw threads, or 2 cards for
 //                                  distrib-gpu); with "auto": score distrib
@@ -49,7 +49,7 @@ namespace {
 
 void print_usage(std::ostream& out, const char* argv0) {
   out << "usage: " << argv0
-      << " [--backend <name>] [--threads N] [--shards N] [--card 8800|gx2|gtx280]\n"
+      << " [--backend <name>] [--shards N] [--card 8800|gx2|gtx280]\n"
          "       [--algo 1..5] [--tpb N] [--support A] [--max-level L] [--expiry W]\n"
          "       [--semantics subseq|contig] [--cpu] [--demo] [--explain]\n"
          "       [--calibration profile.json] [dataset.txt]\n"
@@ -70,8 +70,7 @@ int usage(const char* argv0) {
 int main(int argc, char** argv) {
   using namespace gm;
 
-  std::string backend_name = "gpusim";
-  int threads = 0;
+  std::string backend_name = service::BackendSpec{}.name;
   int shards = 0;
   std::string card = "gtx280";
   int algo = 3;
@@ -96,7 +95,6 @@ int main(int argc, char** argv) {
         return argv[++i];
       };
       if (arg == "--backend") backend_name = next();
-      else if (arg == "--threads") threads = bench::parse_int(arg, next(), 0, 1 << 20);
       else if (arg == "--shards") shards = bench::parse_int(arg, next(), 0, 1 << 10);
       else if (arg == "--card") card = next();
       else if (arg == "--algo") algo = bench::parse_int(arg, next(), 1, 5);
@@ -156,7 +154,6 @@ int main(int argc, char** argv) {
     }
     service::BackendSpec spec;
     spec.name = backend_name;
-    spec.threads = threads;
     spec.shards = shards;
     spec.card = card;
     spec.launch.algorithm = static_cast<kernels::Algorithm>(algo);

@@ -5,7 +5,7 @@
 // is the "show your work" tool for `--backend auto`: every candidate the
 // planner considered, its predicted time, and why the losers lost.
 //
-//   planner_explain [--card 8800|gx2|gtx280] [--threads T] [--json PATH]
+//   planner_explain [--card 8800|gx2|gtx280] [--json PATH] [--calibration PROFILE.json]
 //
 // --json writes the same tables as a machine-readable BENCH artifact (the CI
 // bench job uploads it as BENCH_planner.json).
@@ -14,12 +14,10 @@
 #include <string>
 #include <vector>
 
-#include "bench_support/cli_args.hpp"
 #include "bench_support/json.hpp"
 #include "bench_support/paper_setup.hpp"
 #include "calib/calibration.hpp"
 #include "core/candidate_gen.hpp"
-#include "core/cpu_backend.hpp"
 #include "core/episode_trie.hpp"
 #include "data/generators.hpp"
 #include "planner/planner.hpp"
@@ -122,7 +120,6 @@ void print_diff(const gm::planner::Plan& shipped, const gm::planner::Plan& fitte
 
 int main(int argc, char** argv) {
   std::string card = "gtx280";
-  int threads = 0;
   std::string json_path;
   std::string calibration_path;
   try {
@@ -136,19 +133,17 @@ int main(int argc, char** argv) {
         return argv[++i];
       };
       if (arg == "--card") card = next();
-      else if (arg == "--threads") threads = gm::bench::parse_int(arg, next(), 0, 1 << 20);
       else if (arg == "--json") json_path = next();
       else if (arg == "--calibration") calibration_path = next();
       else {
-        std::cerr << "usage: " << argv[0] << " [--card 8800|gx2|gtx280] [--threads T]"
-                  << " [--json PATH] [--calibration PROFILE.json]\n";
+        std::cerr << "usage: " << argv[0]
+                  << " [--card 8800|gx2|gtx280] [--json PATH] [--calibration PROFILE.json]\n";
         return 2;
       }
     }
 
     gm::planner::PlannerOptions options;
     options.device = gpusim::device_by_name(card);
-    options.cpu_threads = threads;
 
     const bool have_calibration = !calibration_path.empty();
     gm::planner::PlannerOptions fitted_options = options;
@@ -164,7 +159,6 @@ int main(int argc, char** argv) {
     json.field("schema", "gm-bench-planner/1");
     json.field("driver", "planner_explain");
     json.field("card", card);
-    json.field("cpu_threads", gm::core::resolved_thread_count(threads));
     json.field("calibration", have_calibration ? calibration_path : "shipped");
     json.key("shapes").begin_array();
 

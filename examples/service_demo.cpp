@@ -22,7 +22,7 @@ int main() {
   dataset.events = data::uniform_database(dataset.alphabet, 20'000, 7);
 
   auto session = std::make_shared<service::MiningSession>(
-      dataset, service::SessionOptions{.backend = {.name = "auto", .threads = 2}});
+      dataset, service::SessionOptions{.backend = {.name = "auto"}});
   service::MiningService service(session, {.workers = 2});
 
   // 1. A fresh mining run.  The response carries the result, per-level plan

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "core/cpu_backend.hpp"
 #include "distrib/scale_model.hpp"
 #include "kernels/workload_model.hpp"
 
@@ -65,13 +64,8 @@ double predict_sample_ms(const CalibrationProfile& profile, const FitSample& sam
   const planner::Workload& w = sample.workload;
   switch (sample.config.kind) {
     case BackendKind::kCpuSerial: return planner::predict_cpu_serial_ms(w, profile.cpu);
-    case BackendKind::kCpuParallel:
-      return planner::predict_cpu_parallel_ms(w, sample.config.threads, profile.cpu);
-    case BackendKind::kCpuSharded:
-      return planner::predict_cpu_sharded_ms(w, sample.config.threads, profile.cpu);
     case BackendKind::kCpuSingleScan:
       return planner::predict_cpu_single_scan_ms(w, profile.cpu);
-    case BackendKind::kCpuTrieScan: return planner::predict_cpu_trie_ms(w, profile.cpu);
     case BackendKind::kDistrib: {
       if (sample.config.distrib_gpu) {
         const gpusim::CostModel model(sample.cost_params);

@@ -1,20 +1,14 @@
 // CPU counting backends: the serial single-core reference (the GMiner-class
-// baseline the paper motivates against) and three parallel/indexed
-// formulations covering both parallelization axes of the counting step:
+// baseline the paper motivates against) and the indexed single-scan engine:
 //
-//   backend            parallel axis     per-level cost (t threads)
-//   cpu-serial         —                 O(|DB| * |eps|)
-//   cpu-parallel       episodes          O(|DB| * |eps| / t)
-//   cpu-sharded        database          O(|DB| * |eps| * L / t) map + fold
-//   cpu-single-scan    — (indexed)       O(|DB| * (1 + |eps|/|alphabet|))
-//   cpu-trie-scan      — (shared)        O(|DB| * (1 + |prefixes|/|alphabet|))
+//   backend            per-level cost
+//   cpu-serial         O(|DB| * |eps|)
+//   cpu-single-scan    O(|DB| * (1 + |eps|/|alphabet|))
 //
-// cpu-parallel scales with the candidate count, cpu-sharded with the stream
-// length (the axis that matters when candidates are few but the database is
-// long), cpu-single-scan replaces brute-force rescans with one pass driving
-// all automata through a waiting-symbol bucket index, and cpu-trie-scan folds
-// prefix-sharing candidates into a trie so one partial match advances every
-// episode sharing that prefix (core/episode_trie.hpp).
+// cpu-single-scan replaces brute-force rescans with one pass driving all
+// automata through a waiting-symbol bucket index.  The database-parallel axis
+// belongs to distrib::DistribBackend ("distrib-xN"), which runs single-scan
+// workers over a work-stealing chunk grid and stays exact under expiry.
 #pragma once
 
 #include <memory>
@@ -31,44 +25,6 @@ class SerialCpuBackend final : public CountingBackend {
   [[nodiscard]] CountResult count(const CountRequest& request) override;
 };
 
-/// Episodes partitioned across `threads` host threads (thread-level
-/// parallelism in the paper's taxonomy: one worker = one episode at a time,
-/// identity reduce).  Workers accumulate privately and merge at the end, so
-/// no two threads ever write adjacent result slots (no false sharing).
-class ParallelCpuBackend final : public CountingBackend {
- public:
-  /// `threads` = 0 picks the hardware concurrency.
-  explicit ParallelCpuBackend(int threads = 0);
-
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] CountResult count(const CountRequest& request) override;
-
-  [[nodiscard]] int threads() const noexcept { return threads_; }
-
- private:
-  int threads_;
-};
-
-/// Database partitioned into `threads` shards (block-level parallelism in the
-/// paper's taxonomy).  Each (episode, shard) task computes the shard's
-/// transfer function; a cheap sequential fold composes them into exactly the
-/// serial count (segment_counter's kStateComposition).  With expiry enabled
-/// the transfer function is position-dependent, so each episode falls back to
-/// a sequential chunk-chain scan and the parallel axis degrades to episodes.
-class ShardedCpuBackend final : public CountingBackend {
- public:
-  /// `threads` = 0 picks the hardware concurrency; shards == threads.
-  explicit ShardedCpuBackend(int threads = 0);
-
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] CountResult count(const CountRequest& request) override;
-
-  [[nodiscard]] int threads() const noexcept { return threads_; }
-
- private:
-  int threads_;
-};
-
 /// Single-threaded single-scan engine: one database pass drives all episode
 /// automata via the waiting-symbol bucket index (core/multi_counter.hpp).
 class SingleScanCpuBackend final : public CountingBackend {
@@ -77,28 +33,14 @@ class SingleScanCpuBackend final : public CountingBackend {
   [[nodiscard]] CountResult count(const CountRequest& request) override;
 };
 
-/// Single-threaded shared-prefix engine: one database pass drives trie-node
-/// tokens, advancing all prefix-sharing episodes together
-/// (core/episode_trie.hpp).  Strongest when the candidate set's
-/// prefix-compression factor is small (deep Apriori levels).
-class TrieCpuBackend final : public CountingBackend {
- public:
-  [[nodiscard]] std::string name() const override { return "cpu-trie-scan"; }
-  [[nodiscard]] CountResult count(const CountRequest& request) override;
-};
-
-/// The worker count a CPU backend constructed with `threads` will actually
-/// use: 0 resolves to the hardware concurrency, and the result is never less
-/// than 1.  Exposed as a capability query so a planner predicting backend
-/// times applies the same resolution rule the backends themselves do.
+/// The worker count a host pool sized with `threads` will actually use: 0
+/// resolves to the hardware concurrency, and the result is never less than 1.
 [[nodiscard]] int resolved_thread_count(int threads) noexcept;
 
-/// Construct a CPU backend by name: "cpu-serial", "cpu-parallel",
-/// "cpu-sharded", "cpu-single-scan", or "cpu-trie-scan" (unprefixed aliases
-/// accepted).
-/// Returns nullptr for unknown names so callers can layer their own backends
-/// (e.g. the simulated GPU) on top of the selection.
-[[nodiscard]] std::unique_ptr<CountingBackend> make_cpu_backend(std::string_view name,
-                                                                int threads = 0);
+/// Construct a CPU backend by name: "cpu-serial" or "cpu-single-scan"
+/// (unprefixed aliases accepted).  Returns nullptr for unknown names so
+/// callers can layer their own backends (e.g. the simulated GPU) on top of
+/// the selection.
+[[nodiscard]] std::unique_ptr<CountingBackend> make_cpu_backend(std::string_view name);
 
 }  // namespace gm::core

@@ -69,9 +69,8 @@ core::CountResult DistribBackend::count(const core::CountRequest& request) {
     return result;
   }
 
-  const ShardPlan plan = make_shard_plan(
-      request.database, request.episodes,
-      {options_.shards, options_.steal_granularity, options_.weighted_plan});
+  const ShardPlan plan = make_shard_plan(request.database, request.episodes,
+                                         {options_.shards, options_.steal_granularity});
   const int chunks = plan.chunk_count();
   telemetry_.chunks = chunks;
   const std::size_t episode_count = request.episodes.size();

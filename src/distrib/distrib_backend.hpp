@@ -43,9 +43,6 @@ struct DistribOptions {
   int shards = 2;
   int steal_granularity = 4;
   WorkerKind worker = WorkerKind::kSingleScan;
-  /// false: equal-symbol chunks instead of drain-weighted ones (tests provoke
-  /// steals by disabling the balance estimate on skewed streams).
-  bool weighted_plan = true;
   /// kGpuSim only: the card every shard simulates, its launch shape, and the
   /// cost constants the per-chunk charge is computed with.
   gpusim::DeviceSpec device;

@@ -22,9 +22,6 @@ namespace gm::distrib {
 struct ShardPlanOptions {
   int shards = 2;
   int steal_granularity = 4;  ///< stealable chunks per shard
-  /// false: plain equal-symbol chunks (the seed-era geometry; used by tests
-  /// that need a deliberately misbalanced plan to provoke steals).
-  bool weighted = true;
 };
 
 struct ShardPlan {
@@ -35,7 +32,7 @@ struct ShardPlan {
   std::vector<std::int64_t> chunk_bounds;
   /// Estimated drain work per chunk, in weight units (telemetry only; the
   /// scheduler balances by chunk count, the planner by symbol share).
-  std::vector<double> chunk_weight;
+  std::vector<std::int64_t> chunk_weight;
 
   [[nodiscard]] int chunk_count() const noexcept {
     return static_cast<int>(chunk_bounds.size()) - 1;
@@ -45,9 +42,8 @@ struct ShardPlan {
   }
 };
 
-/// Build the chunk grid for counting `episodes` over `database`.  Weighted
-/// cuts equalize estimated drain work per chunk; unweighted cuts equalize
-/// symbols (core::chunk_boundaries geometry).
+/// Build the chunk grid for counting `episodes` over `database`: cuts
+/// equalize estimated drain work per chunk.
 [[nodiscard]] ShardPlan make_shard_plan(std::span<const core::Symbol> database,
                                         std::span<const core::Episode> episodes,
                                         const ShardPlanOptions& options = {});

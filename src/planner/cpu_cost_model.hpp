@@ -1,4 +1,4 @@
-// Analytic cost curves of the four CPU counting backends, the host-side
+// Analytic cost curves of the host counting backends, the host-side
 // counterpart of kernels/workload_model.hpp: given a workload shape, predict
 // each backend's wall-clock in milliseconds from measured per-operation
 // constants (the cost_constants.hpp calibration style, applied to host code).
@@ -6,15 +6,10 @@
 // The curves mirror the complexity table in core/cpu_backend.hpp:
 //
 //   cpu-serial        |DB| * |eps| automaton steps
-//   cpu-parallel      serial work / min(t, |eps|) + per-worker spawn cost
-//   cpu-sharded       |DB| * |eps| * L transfer steps / t + compose fold
-//                     (expiry degrades it to the episode-parallel curve)
 //   cpu-single-scan   |DB| probes + |DB| * |eps| * drain_rate drains
 //                     (contiguous restart falls back to the dense scan)
-//   cpu-trie-scan     |DB| probes + drains * prefix_compression token drains
-//                     + drains / L accepts (shared-prefix trie engine; same
-//                     dense fallback as cpu-single-scan under contiguous
-//                     restart, so the flat engine wins that tie by label)
+//   distrib-xN        single-scan map / N + chunk-ordered fold + boundary
+//                     rescans + per-chunk steal cost + per-worker spawn cost
 //
 // drain_rate is the same skew-aware bucket-occupancy term the Algorithm-5
 // device model uses (kernels::bucket_drain_rate), so CPU and GPU predictions
@@ -38,8 +33,6 @@ struct CpuCostConstants {
   /// match-start position and tests the window, roughly doubling the
   /// per-symbol cost (measured, not derived).
   double serial_expiry_step_ns = 2.0;
-  /// One (entry-state, symbol) step of segment_transfer in the sharded map.
-  double sharded_step_ns = 1.9;
   /// Single-scan per-position bucket probe (flat bucket-vector load + a
   /// deadline-queue front check; the SoA arena has no hashing or heap peek).
   double scan_probe_ns = 2.0;
@@ -51,24 +44,11 @@ struct CpuCostConstants {
   /// Dense contiguous-restart path: one automaton step per (symbol, episode),
   /// batched symbols-innermost so the episode stays register-resident.
   double scan_dense_step_ns = 1.2;
-  /// Trie scan per drained shared-prefix token (child lookup + the interval
-  /// split moving the survivors one trie level deeper).  Still a few times
-  /// scan_drain_ns — the pooled token arena removed the per-drain allocation,
-  /// but splitting interval sets remains heavier than stepping an integer —
-  /// so on the host the compression only pays at high prefix mass; the big
-  /// shared-prefix win belongs to the device formulation (gpusim-algo5-trie).
-  double trie_drain_ns = 50.0;
-  /// Trie scan per completed episode occurrence (count bump + swap-remove
-  /// from the compact live-token list + idle-interval return).  Accepts are
-  /// per episode — prefix sharing cannot compress them.
-  double trie_accept_ns = 10.0;
   /// Expiry bookkeeping per match start (monotone deadline-FIFO append +
   /// eventual pop-and-validate; was a binary heap before the SoA rewrite).
   double expiry_heap_ns = 25.0;
   /// Spawn + join cost per worker thread.
   double thread_spawn_us = 60.0;
-  /// Sharded fold: composing one (episode, shard) transfer outcome.
-  double fold_step_ns = 8.0;
   /// Distrib reduce: folding one (episode, chunk) cold outcome in chunk
   /// order (branch + count add; matches the scale model's merge charge).
   double distrib_merge_ns = 12.0;
@@ -85,19 +65,13 @@ struct CpuCostConstants {
 /// prices the backend it would actually construct.
 inline constexpr int kPlannedStealGranularity = 4;
 
-/// Predicted wall-clock (ms) of one counting level on each CPU backend.
-/// `threads` is the worker count the backend would actually use (callers
-/// should pass core::resolved_thread_count(requested)).  The constants
-/// default to the shipped profile; pass a fitted CalibrationProfile's cpu
-/// part (calib/) to predict for the measured host instead.
+/// Predicted wall-clock (ms) of one counting level on each CPU backend.  The
+/// constants default to the shipped profile; pass a fitted
+/// CalibrationProfile's cpu part (calib/) to predict for the measured host
+/// instead.
 [[nodiscard]] double predict_cpu_serial_ms(const Workload& w, const CpuCostConstants& c = {});
-[[nodiscard]] double predict_cpu_parallel_ms(const Workload& w, int threads,
-                                             const CpuCostConstants& c = {});
-[[nodiscard]] double predict_cpu_sharded_ms(const Workload& w, int threads,
-                                            const CpuCostConstants& c = {});
 [[nodiscard]] double predict_cpu_single_scan_ms(const Workload& w,
                                                 const CpuCostConstants& c = {});
-[[nodiscard]] double predict_cpu_trie_ms(const Workload& w, const CpuCostConstants& c = {});
 
 /// The distrib backend's host curve: the single-scan map split over `shards`
 /// work-stealing workers, plus the chunk-ordered fold, the expected

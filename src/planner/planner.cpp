@@ -19,46 +19,19 @@ std::string fmt_ms(double ms) {
   return buf;
 }
 
-ScoredCandidate score_cpu(const Workload& w, BackendKind kind, int threads,
+ScoredCandidate score_cpu(const Workload& w, BackendKind kind,
                           const CpuCostConstants& constants) {
   ScoredCandidate c;
   c.config.kind = kind;
-  c.config.threads = threads;
   c.feasible = true;
-  switch (kind) {
-    case BackendKind::kCpuSerial:
-      c.predicted_ms = predict_cpu_serial_ms(w, constants);
-      c.reason = "single-core reference scan";
-      break;
-    case BackendKind::kCpuParallel:
-      c.predicted_ms = predict_cpu_parallel_ms(w, threads, constants);
-      c.reason = "episode-parallel map";
-      break;
-    case BackendKind::kCpuSharded:
-      c.predicted_ms = predict_cpu_sharded_ms(w, threads, constants);
-      c.reason = w.expiry.enabled() ? "expiry degrades sharding to episode parallelism"
-                                    : "database-sharded map + compose fold";
-      break;
-    case BackendKind::kCpuSingleScan:
-      c.predicted_ms = predict_cpu_single_scan_ms(w, constants);
-      c.reason = w.semantics == core::Semantics::kContiguousRestart
-                     ? "dense single scan (contiguous restart)"
-                     : "bucket-indexed single scan";
-      break;
-    case BackendKind::kCpuTrieScan: {
-      c.predicted_ms = predict_cpu_trie_ms(w, constants);
-      char note[64];
-      std::snprintf(note, sizeof(note), "shared-prefix trie scan (prefix mass %.2f)",
-                    w.prefix_compression);
-      c.reason = w.semantics == core::Semantics::kContiguousRestart
-                     ? "dense single scan (contiguous restart)"
-                     : note;
-      break;
-    }
-    case BackendKind::kGpuSim:
-    case BackendKind::kDistrib:
-      gm::raise_precondition("score_cpu called for a non-CPU kind");
-      break;
+  if (kind == BackendKind::kCpuSerial) {
+    c.predicted_ms = predict_cpu_serial_ms(w, constants);
+    c.reason = "single-core reference scan";
+  } else {
+    c.predicted_ms = predict_cpu_single_scan_ms(w, constants);
+    c.reason = w.semantics == core::Semantics::kContiguousRestart
+                   ? "dense single scan (contiguous restart)"
+                   : "bucket-indexed single scan";
   }
   return c;
 }
@@ -215,10 +188,7 @@ kernels::WorkloadSpec gpu_workload_spec(const Workload& w, kernels::Algorithm al
 std::string_view backend_kind_name(BackendKind kind) {
   switch (kind) {
     case BackendKind::kCpuSerial: return "cpu-serial";
-    case BackendKind::kCpuParallel: return "cpu-parallel";
-    case BackendKind::kCpuSharded: return "cpu-sharded";
     case BackendKind::kCpuSingleScan: return "cpu-single-scan";
-    case BackendKind::kCpuTrieScan: return "cpu-trie-scan";
     case BackendKind::kGpuSim: return "gpusim";
     case BackendKind::kDistrib: return "distrib";
   }
@@ -233,11 +203,7 @@ std::string CandidateConfig::label() const {
     return "gpusim-algo" + std::to_string(kernels::algorithm_number(algorithm)) +
            (trie_buckets ? "-trie" : "") + "/t" + std::to_string(threads_per_block);
   }
-  std::string name(backend_kind_name(kind));
-  if (kind == BackendKind::kCpuParallel || kind == BackendKind::kCpuSharded) {
-    name += "-x" + std::to_string(threads);
-  }
-  return name;
+  return std::string(backend_kind_name(kind));
 }
 
 Plan plan_level(const Workload& workload, const PlannerOptions& options) {
@@ -251,17 +217,9 @@ Plan plan_level(const Workload& workload, const PlannerOptions& options) {
   plan.workload = workload;
 
   if (options.enable_cpu) {
-    const int threads = core::resolved_thread_count(options.cpu_threads);
-    plan.table.push_back(score_cpu(workload, BackendKind::kCpuSerial, 1,
-                                   options.cpu_constants));
-    plan.table.push_back(score_cpu(workload, BackendKind::kCpuParallel, threads,
-                                   options.cpu_constants));
-    plan.table.push_back(score_cpu(workload, BackendKind::kCpuSharded, threads,
-                                   options.cpu_constants));
-    plan.table.push_back(score_cpu(workload, BackendKind::kCpuSingleScan, 1,
-                                   options.cpu_constants));
-    plan.table.push_back(score_cpu(workload, BackendKind::kCpuTrieScan, 1,
-                                   options.cpu_constants));
+    plan.table.push_back(score_cpu(workload, BackendKind::kCpuSerial, options.cpu_constants));
+    plan.table.push_back(
+        score_cpu(workload, BackendKind::kCpuSingleScan, options.cpu_constants));
   }
   if (options.enable_gpu) {
     gm::expects(!options.tpb_sweep.empty(),
@@ -368,8 +326,7 @@ std::unique_ptr<core::CountingBackend> make_planned_backend(const CandidateConfi
     return std::make_unique<kernels::SimGpuBackend>(options.device, params,
                                                     options.cost_params);
   }
-  auto backend =
-      core::make_cpu_backend(backend_kind_name(config.kind), config.threads);
+  auto backend = core::make_cpu_backend(backend_kind_name(config.kind));
   gm::ensure(backend != nullptr, "planner named an unknown CPU backend");
   return backend;
 }

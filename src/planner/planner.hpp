@@ -1,9 +1,10 @@
 // The formulation planner: the paper's conclusion — "a MapReduce-based
 // implementation must dynamically adapt the type and level of parallelism" —
 // turned into a subsystem.  Given one level's workload shape and a device,
-// enumerate every counting formulation the repo implements (five CPU
-// backends x five simulated-GPU algorithms x a threads-per-block sweep,
-// plus a shared-prefix trie variant of the block-bucketed kernel),
+// enumerate every counting formulation the repo implements (two CPU
+// backends, five simulated-GPU algorithms x a threads-per-block sweep plus a
+// shared-prefix trie variant of the block-bucketed kernel, and a distrib
+// candidate per swept device count),
 // score each analytically (kernels::predict_mining_time for the device,
 // planner/cpu_cost_model for the host), and return a Plan: the winner, the
 // full scored decision table, and the reason every loser lost.
@@ -35,10 +36,7 @@ namespace gm::planner {
 
 enum class BackendKind {
   kCpuSerial,
-  kCpuParallel,
-  kCpuSharded,
   kCpuSingleScan,
-  kCpuTrieScan,
   kGpuSim,
   /// Work-stealing shard engine over N devices (distrib::DistribBackend):
   /// host single-scan workers, or simulated cards when distrib_gpu is set.
@@ -53,7 +51,7 @@ enum class BackendKind {
 /// the backend it names.
 struct CandidateConfig {
   BackendKind kind = BackendKind::kCpuSerial;
-  /// CPU backends: resolved worker count.  kDistrib: the device/shard count.
+  /// kDistrib only: the device/shard count (1 for every other kind).
   int threads = 1;
   /// gpusim only (kDistrib with distrib_gpu: the launch each card runs).
   kernels::Algorithm algorithm = kernels::Algorithm::kThreadTexture;
@@ -64,7 +62,7 @@ struct CandidateConfig {
   /// kDistrib only: shards run as simulated cards instead of host workers.
   bool distrib_gpu = false;
 
-  /// Stable display / cache key, e.g. "cpu-sharded-x8", "gpusim-algo5/t128",
+  /// Stable display / cache key, e.g. "cpu-single-scan", "gpusim-algo5/t128",
   /// "gpusim-algo5-trie/t128", "distrib-x4", or "distrib-gpu-x2".
   [[nodiscard]] std::string label() const;
 };
@@ -73,8 +71,8 @@ struct ScoredCandidate {
   CandidateConfig config;
   bool feasible = false;
   double predicted_ms = 0.0;
-  /// Feasible: the dominant-cost note ("bound by issue", "episode-parallel
-  /// map").  Infeasible: why the candidate was rejected (never empty).
+  /// Feasible: the dominant-cost note ("bound by issue", "bucket-indexed
+  /// single scan").  Infeasible: why the candidate was rejected (never empty).
   std::string reason;
   /// gpusim candidates: the full mechanism breakdown behind predicted_ms.
   gpusim::TimeBreakdown breakdown;
@@ -100,8 +98,6 @@ struct Plan {
 struct PlannerOptions {
   /// Card the gpusim candidates are scored (and constructed) for.
   gpusim::DeviceSpec device;
-  /// CPU worker request; 0 resolves to the hardware concurrency.
-  int cpu_threads = 0;
   /// threads-per-block sweep for the gpusim candidates.
   std::vector<int> tpb_sweep = {32, 64, 128, 256, 512};
   /// Device counts to score distrib (work-stealing shard) candidates at:
@@ -127,8 +123,8 @@ struct PlannerOptions {
   /// (calib/) replaces both this and cpu_constants.
   kernels::KernelCostProfile kernel_costs = {};
   /// Online-feedback multipliers applied to predicted_ms after scoring,
-  /// keyed by candidate label (e.g. "cpu-sharded-x8") with the backend kind
-  /// name ("cpu-sharded") as fallback.  AutoBackend maintains these from
+  /// keyed by candidate label (e.g. "distrib-x4") with the backend kind
+  /// name ("distrib") as fallback.  AutoBackend maintains these from
   /// measured-vs-predicted count() ratios so long mining runs self-correct;
   /// empty (the default) leaves predictions untouched.
   std::map<std::string, double> measured_bias;

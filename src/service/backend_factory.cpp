@@ -13,14 +13,12 @@
 namespace gm::service {
 
 std::vector<std::string_view> backend_names() {
-  return {"cpu-serial", "cpu-parallel", "cpu-sharded", "cpu-single-scan", "cpu-trie-scan",
-          "distrib", "distrib-gpu", "gpusim", "auto"};
+  return {"cpu-serial", "cpu-single-scan", "distrib", "distrib-gpu", "gpusim", "auto"};
 }
 
 planner::PlannerOptions planner_options_for(const BackendSpec& spec) {
   planner::PlannerOptions options;
   options.device = gpusim::device_by_name(spec.card);
-  options.cpu_threads = spec.threads;
   if (spec.shards > 0) {
     // Open the device-count axis: the caller declared shards-many devices
     // exist, so "auto" scores every count up to that budget.
@@ -36,7 +34,7 @@ planner::PlannerOptions planner_options_for(const BackendSpec& spec) {
 }
 
 std::unique_ptr<core::CountingBackend> make_backend(const BackendSpec& spec) {
-  if (auto cpu = core::make_cpu_backend(spec.name, spec.threads)) return cpu;
+  if (auto cpu = core::make_cpu_backend(spec.name)) return cpu;
   if (spec.name == "distrib" || spec.name == "distrib-gpu") {
     distrib::DistribOptions options;
     const bool gpu = spec.name == "distrib-gpu";

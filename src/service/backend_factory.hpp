@@ -19,14 +19,12 @@ namespace gm::service {
 
 /// Everything needed to name a counting backend on a command line.
 struct BackendSpec {
-  /// "cpu-serial" | "cpu-parallel" | "cpu-sharded" | "cpu-single-scan" |
-  /// "distrib" | "distrib-gpu" | "gpusim" | "auto" (unprefixed cpu aliases
-  /// accepted).  "auto" plans the formulation per counting level
-  /// (planner::AutoBackend): `card` names the device its GPU candidates are
-  /// scored for and `threads` its CPU worker budget; `launch` is ignored
-  /// (the planner sweeps algorithms and threads-per-block itself).
-  std::string name = "gpusim";
-  int threads = 0;  ///< CPU backends: 0 = hardware concurrency
+  /// "cpu-serial" | "cpu-single-scan" | "distrib" | "distrib-gpu" |
+  /// "gpusim" | "auto" (unprefixed cpu aliases accepted).  "auto" plans the
+  /// formulation per counting level (planner::AutoBackend): `card` names the
+  /// device its GPU candidates are scored for; `launch` is ignored (the
+  /// planner sweeps algorithms and threads-per-block itself).
+  std::string name = "cpu-single-scan";
   std::string card = "gtx280";
   kernels::MiningLaunchParams launch = {};  ///< gpusim only
   /// "auto" only: path of a fitted calibration profile (see calib/ and
@@ -47,9 +45,9 @@ struct BackendSpec {
 /// The names make_backend accepts (for --help text and shootout sweeps).
 [[nodiscard]] std::vector<std::string_view> backend_names();
 
-/// The planner options a spec implies: the device its card names, its CPU
-/// thread budget, and (when set) its calibration profile applied on top of
-/// the shipped cost constants.  This is what "auto" constructs AutoBackend
+/// The planner options a spec implies: the device its card names, the
+/// device-count axis its shards open, and (when set) its calibration profile
+/// applied on top of the shipped cost constants.  This is what "auto" constructs AutoBackend
 /// with; MiningSession uses the same options for admission-control
 /// predictions so the planner scoring requests is the planner running them.
 [[nodiscard]] planner::PlannerOptions planner_options_for(const BackendSpec& spec);

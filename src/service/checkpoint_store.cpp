@@ -58,7 +58,6 @@ void write_spec(bench::JsonWriter& json, const MonitorSpec& spec) {
   json.field("semantics", static_cast<int>(spec.semantics));
   json.field("expiry_window", spec.expiry.window);
   json.field("threshold", spec.threshold);
-  json.field("engine", static_cast<int>(spec.engine));
   json.end_object();
 }
 
@@ -69,7 +68,8 @@ MonitorSpec read_spec(const bench::JsonValue& value) {
   spec.semantics = static_cast<core::Semantics>(value.at("semantics").as_int64());
   spec.expiry.window = value.at("expiry_window").as_int64();
   spec.threshold = value.at("threshold").as_int64();
-  spec.engine = static_cast<core::ScanEngine>(value.at("engine").as_int64());
+  // Older gm-checkpoint/1 files also carry an "engine" field.  Checkpoints
+  // are engine-agnostic and monitors always scan flat, so it is ignored.
   return spec;
 }
 

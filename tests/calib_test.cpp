@@ -44,10 +44,10 @@ CalibrationProfile perturbed_profile() {
 }
 
 TEST(CalibrationProfile, RegistryCoversEveryConstant) {
-  // 13 kernel instruction charges + 14 CPU cost constants.  If this fails
+  // 13 kernel instruction charges + 10 CPU cost constants.  If this fails
   // after adding a field to either struct, add the matching registry row
   // (and nothing else: JSON I/O and the fitter pick it up from there).
-  EXPECT_EQ(calibration_params().size(), 27u);
+  EXPECT_EQ(calibration_params().size(), 23u);
   std::set<std::string_view> names;
   for (const ParamRef& param : calibration_params()) {
     EXPECT_TRUE(names.insert(param.name).second) << "duplicate: " << param.name;
@@ -168,7 +168,6 @@ TEST(CalibrationProfile, ApplyInstallsBothConstantBlocks) {
 
   // And the planner's scored table moves with the applied constants.
   planner::PlannerOptions shipped;
-  shipped.cpu_threads = 4;
   shipped.enable_gpu = false;
   planner::PlannerOptions fitted = shipped;
   apply_profile(profile, fitted);
@@ -189,7 +188,6 @@ TEST(CalibrationProfile, MeasuredBiasReordersThePlan) {
   // winner must flip the pick, and the note must say the prediction is
   // biased.
   planner::PlannerOptions options;
-  options.cpu_threads = 4;
   options.enable_gpu = false;
   const planner::Workload w = cpu_workload();
   const std::string winner = plan_level(w, options).winner().config.label();

@@ -95,24 +95,6 @@ TEST(Miner, CandidateCountsMatchPaperWithZeroThreshold) {
   EXPECT_EQ(result.levels[1].candidates, 26 * 26);
 }
 
-TEST(Miner, ParallelCpuBackendAgreesWithSerial) {
-  const auto db = data::uniform_database(Alphabet(6), 3000, 8);
-  MinerConfig config;
-  config.support_threshold = 0.002;
-  config.max_level = 3;
-
-  SerialCpuBackend serial;
-  ParallelCpuBackend parallel(3);
-  const auto a = mine_frequent_episodes(db, Alphabet(6), serial, config);
-  const auto b = mine_frequent_episodes(db, Alphabet(6), parallel, config);
-
-  ASSERT_EQ(a.total_frequent(), b.total_frequent());
-  for (std::size_t i = 0; i < a.frequent.size(); ++i) {
-    EXPECT_EQ(a.frequent[i].episode, b.frequent[i].episode);
-    EXPECT_EQ(a.frequent[i].count, b.frequent[i].count);
-  }
-}
-
 TEST(Miner, ExpiryReducesCounts) {
   const auto db = data::uniform_database(Alphabet(4), 4000, 9);
   MinerConfig loose;
@@ -155,7 +137,7 @@ TEST(Miner, LevelReportsAgreeWithDiscoveredEpisodes) {
   }
 }
 
-TEST(Miner, ShardedAndSingleScanBackendsAgreeWithSerial) {
+TEST(Miner, SingleScanBackendAgreesWithSerial) {
   const auto db = data::uniform_database(Alphabet(6), 3000, 8);
   MinerConfig config;
   config.support_threshold = 0.002;
@@ -163,19 +145,14 @@ TEST(Miner, ShardedAndSingleScanBackendsAgreeWithSerial) {
   config.expiry = ExpiryPolicy{12};
 
   SerialCpuBackend serial;
-  ShardedCpuBackend sharded(4);
   SingleScanCpuBackend single_scan;
   const auto a = mine_frequent_episodes(db, Alphabet(6), serial, config);
-  const auto b = mine_frequent_episodes(db, Alphabet(6), sharded, config);
-  const auto c = mine_frequent_episodes(db, Alphabet(6), single_scan, config);
+  const auto b = mine_frequent_episodes(db, Alphabet(6), single_scan, config);
 
   ASSERT_EQ(a.total_frequent(), b.total_frequent());
-  ASSERT_EQ(a.total_frequent(), c.total_frequent());
   for (std::size_t i = 0; i < a.frequent.size(); ++i) {
     EXPECT_EQ(a.frequent[i].episode, b.frequent[i].episode);
     EXPECT_EQ(a.frequent[i].count, b.frequent[i].count);
-    EXPECT_EQ(a.frequent[i].episode, c.frequent[i].episode);
-    EXPECT_EQ(a.frequent[i].count, c.frequent[i].count);
   }
 }
 

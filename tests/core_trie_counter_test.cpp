@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/cpu_backend.hpp"
 #include "core/episode_trie.hpp"
 #include "core/serial_counter.hpp"
 #include "data/generators.hpp"
@@ -197,24 +196,6 @@ TEST(TrieCounter, ContiguousRestartDensePathMatchesSerial) {
                                   ExpiryPolicy{window}),
               count_all(episodes, db, Semantics::kContiguousRestart, ExpiryPolicy{window}));
   }
-}
-
-TEST(TrieCounter, BackendAndFactoryExposeTheEngine) {
-  TrieCpuBackend backend;
-  EXPECT_EQ(backend.name(), "cpu-trie-scan");
-  const std::vector<Episode> episodes = {Episode({0, 1}), Episode({0, 2})};
-  const Sequence db = {0, 1, 0, 2, 0, 1};
-  CountRequest request;
-  request.database = db;
-  request.episodes = episodes;
-  request.semantics = Semantics::kNonOverlappedSubsequence;
-  const auto result = backend.count(request);
-  EXPECT_EQ(result.counts, count_all(episodes, db, request.semantics, request.expiry));
-
-  const auto by_name = make_cpu_backend("cpu-trie-scan");
-  ASSERT_NE(by_name, nullptr);
-  EXPECT_EQ(by_name->name(), "cpu-trie-scan");
-  EXPECT_NE(make_cpu_backend("trie-scan"), nullptr);  // unprefixed alias
 }
 
 TEST(EpisodeTrie, SubtreeRangesCoverSortedOrder) {

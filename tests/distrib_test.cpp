@@ -114,17 +114,6 @@ TEST(SingleScanExits, MatchTheSerialAutomatonConfiguration) {
 
 // --- shard plan -------------------------------------------------------------
 
-TEST(ShardPlan, UnweightedEqualsEqualSymbolChunking) {
-  const Alphabet alphabet(4);
-  const auto db = data::uniform_database(alphabet, 1003, 7);
-  const auto episodes = core::all_distinct_episodes(alphabet, 2);
-  const auto plan = make_shard_plan(db, episodes, {3, 4, /*weighted=*/false});
-  EXPECT_EQ(plan.chunk_bounds, core::chunk_boundaries(1003, 12));
-  EXPECT_EQ(plan.chunk_count(), 12);
-  EXPECT_EQ(plan.home_shard(0), 0);
-  EXPECT_EQ(plan.home_shard(11), 2);
-}
-
 TEST(ShardPlan, WeightedCutsShrinkDrainHeavyChunks) {
   // First half of the stream is all symbol 0 — which every episode contains —
   // so its estimated drain work dwarfs the second half's (symbol 3 appears in
@@ -138,13 +127,31 @@ TEST(ShardPlan, WeightedCutsShrinkDrainHeavyChunks) {
   episodes.emplace_back(core::Sequence{0, 2});
   episodes.emplace_back(core::Sequence{1, 0});
 
-  const auto plan = make_shard_plan(db, episodes, {2, 1, /*weighted=*/true});
+  const auto plan = make_shard_plan(db, episodes, {2, 1});
   ASSERT_EQ(plan.chunk_count(), 2);
+  EXPECT_EQ(plan.home_shard(0), 0);
+  EXPECT_EQ(plan.home_shard(1), 1);
   EXPECT_EQ(plan.chunk_bounds.front(), 0);
   EXPECT_EQ(plan.chunk_bounds.back(), 4000);
   EXPECT_LT(plan.chunk_bounds[1], 1500);
-  // The weight estimate itself should be near-balanced across the cut.
+  // The weight estimate itself should be near-balanced across the cut, and
+  // the chunk weights partition the total: 2000 * (1 + 3) + 2000 * 1.
   EXPECT_NEAR(plan.chunk_weight[0], plan.chunk_weight[1], plan.chunk_weight[0] * 0.1);
+  EXPECT_EQ(plan.chunk_weight[0] + plan.chunk_weight[1], 10'000);
+
+  // One position heavier than several chunk targets: symbol 0 weighs
+  // 1 + 40 = 41 against a total of 41 + 9 = 50 over 10 chunks (5 per
+  // chunk), so the first position passes the first eight targets at once.
+  // Its chunk takes the whole weight, the extra cuts leave empty chunks, and
+  // the light tail splits at exact targets.
+  const core::Sequence heavy = {0, 1, 1, 1, 1, 1, 1, 1, 1, 1};
+  const std::vector<Episode> zeros(40, Episode(core::Sequence{0}));
+  const auto multi = make_shard_plan(heavy, zeros, {5, 2});
+  ASSERT_EQ(multi.chunk_count(), 10);
+  EXPECT_EQ(multi.chunk_bounds,
+            (std::vector<std::int64_t>{0, 1, 1, 1, 1, 1, 1, 1, 1, 5, 10}));
+  EXPECT_EQ(multi.chunk_weight,
+            (std::vector<std::int64_t>{41, 0, 0, 0, 0, 0, 0, 0, 4, 5}));
 }
 
 // --- scheduler --------------------------------------------------------------
@@ -179,7 +186,7 @@ TEST(ShardScheduler, SkewedShardsProvokeSteals) {
   plan.shards = 4;
   plan.steal_granularity = 4;
   for (int c = 0; c <= 16; ++c) plan.chunk_bounds.push_back(c);
-  plan.chunk_weight.assign(16, 1.0);
+  plan.chunk_weight.assign(16, 1);
 
   std::vector<std::atomic<int>> runs(16);
   for (auto& r : runs) r.store(0);

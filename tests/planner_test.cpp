@@ -8,7 +8,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
+#include "common/error.hpp"
 #include "core/cpu_backend.hpp"
 #include "core/miner.hpp"
 #include "core/serial_counter.hpp"
@@ -31,12 +34,6 @@ Workload basic_workload() {
   return w;
 }
 
-PlannerOptions deterministic_options() {
-  PlannerOptions options;
-  options.cpu_threads = 4;  // pin: hardware concurrency varies by machine
-  return options;
-}
-
 bool is_bucket_indexed(const CandidateConfig& config) {
   if (config.kind == BackendKind::kCpuSingleScan) return true;
   return config.kind == BackendKind::kGpuSim && kernels::is_bucketed(config.algorithm);
@@ -49,7 +46,7 @@ TEST(Planner, PicksDenseGpuPathForSmallAlphabetHugeEpisodeShapes) {
   Workload w = basic_workload();
   w.episode_count = 15'600;
   w.level = 3;
-  const Plan plan = plan_level(w, deterministic_options());
+  const Plan plan = plan_level(w, PlannerOptions{});
   ASSERT_TRUE(plan.winner().feasible);
   EXPECT_EQ(plan.winner().config.kind, BackendKind::kGpuSim);
   EXPECT_FALSE(is_bucket_indexed(plan.winner().config));
@@ -63,7 +60,7 @@ TEST(Planner, PicksBucketedPathForLargeAlphabetShapes) {
   w.episode_count = 400;
   w.level = 3;
   w.alphabet_size = 200;
-  const Plan plan = plan_level(w, deterministic_options());
+  const Plan plan = plan_level(w, PlannerOptions{});
   ASSERT_TRUE(plan.winner().feasible);
   EXPECT_TRUE(is_bucket_indexed(plan.winner().config)) << plan.winner().config.label();
 }
@@ -72,7 +69,7 @@ TEST(Planner, GpuOnlyPlannerFlipsToBucketedKernelOnLargeAlphabets) {
   // Same flip inside the GPU candidate family alone: the block-bucketed
   // kernel must beat the dense formulations once the alphabet dwarfs the
   // per-thread bucket occupancy.
-  PlannerOptions options = deterministic_options();
+  PlannerOptions options;
   options.enable_cpu = false;
   Workload w;
   w.db_size = 500'000;
@@ -91,8 +88,8 @@ TEST(Planner, FlipsToTrieFormulationsOnSharedPrefixCandidateSets) {
   // bucket-friendly shape with no prefix sharing (prefix mass 1, e.g. a
   // level-1 set) must stay on a flat formulation: the trie's heavier
   // per-drain constant buys nothing.  The same shape with an apriori-style
-  // candidate set (prefix mass ~ 1/L) must flip to a trie formulation, CPU
-  // or GPU — one token drain advances every prefix-sharer.
+  // candidate set (prefix mass ~ 1/L) must flip to the device trie
+  // formulation — one token drain advances every prefix-sharer.
   Workload w;
   w.db_size = 2'000'000;
   w.episode_count = 12'000;
@@ -101,35 +98,23 @@ TEST(Planner, FlipsToTrieFormulationsOnSharedPrefixCandidateSets) {
 
   Workload flat_set = w;
   flat_set.prefix_compression = 1.0;
-  const Plan flat_plan = plan_level(flat_set, deterministic_options());
+  const Plan flat_plan = plan_level(flat_set, PlannerOptions{});
   ASSERT_TRUE(flat_plan.winner().feasible);
   EXPECT_EQ(flat_plan.winner().config.label().find("trie"), std::string::npos)
       << flat_plan.winner().config.label();
 
   Workload shared_set = w;
   shared_set.prefix_compression = 0.35;
-  const Plan trie_plan = plan_level(shared_set, deterministic_options());
+  const Plan trie_plan = plan_level(shared_set, PlannerOptions{});
   ASSERT_TRUE(trie_plan.winner().feasible);
   EXPECT_NE(trie_plan.winner().config.label().find("trie"), std::string::npos)
       << trie_plan.winner().config.label();
 
-  // Both trie families are in the scored table: the host engine and a trie
-  // variant of every bucketed tpb point.
-  bool saw_cpu_trie = false;
-  bool saw_gpu_trie = false;
-  for (const ScoredCandidate& c : trie_plan.table) {
-    saw_cpu_trie |= c.config.kind == BackendKind::kCpuTrieScan;
-    saw_gpu_trie |= c.config.kind == BackendKind::kGpuSim && c.config.trie_buckets;
-  }
-  EXPECT_TRUE(saw_cpu_trie);
-  EXPECT_TRUE(saw_gpu_trie);
+  EXPECT_EQ(trie_plan.winner().config.kind, BackendKind::kGpuSim);
 
-  // Model pins behind the flip.  Device side: the trie spec predicts
-  // strictly less kernel time than the flat bucketed spec once prefixes are
-  // shared, and strictly more when they are not (heavier per-drain charge,
-  // nothing compressed).  Host side: the trie engine's interval-set splits
-  // price it above the flat single scan even with sharing — the host curve
-  // only flips under extreme compression, by design.
+  // Model pins behind the flip: the trie spec predicts strictly less kernel
+  // time than the flat bucketed spec once prefixes are shared, and strictly
+  // more when they are not (heavier per-drain charge, nothing compressed).
   const auto gpu_ms = [](const Workload& workload, bool trie) {
     const PlannerOptions options;
     return kernels::predict_mining_time(
@@ -140,25 +125,13 @@ TEST(Planner, FlipsToTrieFormulationsOnSharedPrefixCandidateSets) {
   };
   EXPECT_LT(gpu_ms(shared_set, true), gpu_ms(shared_set, false));
   EXPECT_GT(gpu_ms(flat_set, true), gpu_ms(flat_set, false));
-  const CpuCostConstants constants;
-  EXPECT_GT(predict_cpu_trie_ms(flat_set, constants),
-            predict_cpu_single_scan_ms(flat_set, constants));
-  EXPECT_GT(predict_cpu_trie_ms(shared_set, constants),
-            predict_cpu_single_scan_ms(shared_set, constants));
-
-  // Contiguous restart runs the identical dense fallback on both engines:
-  // the curves tie exactly and the label tie-break hands flat the win.
-  Workload dense = shared_set;
-  dense.semantics = core::Semantics::kContiguousRestart;
-  EXPECT_DOUBLE_EQ(predict_cpu_trie_ms(dense, constants),
-                   predict_cpu_single_scan_ms(dense, constants));
 }
 
 TEST(Planner, NeverPicksBackendWhoseMaxLevelIsBelowRequest) {
   Workload w = basic_workload();
   w.level = kernels::kMaxLevel + 1;
   w.episode_count = 10;
-  const PlannerOptions options = deterministic_options();
+  const PlannerOptions options;
   const Plan plan = plan_level(w, options);
 
   // The pick must come from a family whose constructed backend can count the
@@ -176,7 +149,7 @@ TEST(Planner, NeverPicksBackendWhoseMaxLevelIsBelowRequest) {
 TEST(Planner, IsDeterministicAndExplainsEveryRejection) {
   Workload w = basic_workload();
   w.level = kernels::kMaxLevel + 2;  // force a mixed feasible/rejected table
-  const PlannerOptions options = deterministic_options();
+  const PlannerOptions options;
   const Plan a = plan_level(w, options);
   const Plan b = plan_level(w, options);
 
@@ -207,7 +180,7 @@ TEST(Planner, IsDeterministicAndExplainsEveryRejection) {
 }
 
 TEST(Planner, RejectsOversizedThreadsPerBlockWithReason) {
-  PlannerOptions options = deterministic_options();
+  PlannerOptions options;
   options.tpb_sweep = {64, 4096};  // above every paper card's block limit
   const Plan plan = plan_level(basic_workload(), options);
   bool saw_rejected_tpb = false;
@@ -222,7 +195,7 @@ TEST(Planner, RejectsOversizedThreadsPerBlockWithReason) {
 }
 
 TEST(Planner, ThrowsWhenNoCandidateIsFeasible) {
-  PlannerOptions options = deterministic_options();
+  PlannerOptions options;
   options.enable_cpu = false;  // GPU only...
   Workload w = basic_workload();
   w.level = kernels::kMaxLevel + 1;  // ...and every GPU candidate is capped
@@ -275,7 +248,7 @@ TEST(AutoBackend, MatchesSerialReferenceAcrossLevels) {
   core::SerialCpuBackend reference;
   const auto expected = core::mine_frequent_episodes(db, alphabet, reference, config);
 
-  AutoBackend adaptive{deterministic_options()};
+  AutoBackend adaptive{PlannerOptions{}};
   const auto actual = core::mine_frequent_episodes(db, alphabet, adaptive, config);
 
   ASSERT_EQ(actual.frequent.size(), expected.frequent.size());
@@ -302,7 +275,7 @@ TEST(AutoBackend, ReusesConstructedBackendsAcrossLevels) {
   request.database = db;
   request.episodes = episodes;
 
-  AutoBackend adaptive{deterministic_options()};
+  AutoBackend adaptive{PlannerOptions{}};
   const auto first = adaptive.count(request);
   const auto second = adaptive.count(request);
   EXPECT_EQ(first.counts, second.counts);
@@ -324,7 +297,7 @@ TEST(AutoBackend, FeedbackRecordsRecencyWeightedBias) {
   request.database = db;
   request.episodes = episodes;
 
-  AutoBackend adaptive{deterministic_options()};
+  AutoBackend adaptive{PlannerOptions{}};
   (void)adaptive.count(request);
   ASSERT_EQ(adaptive.feedback().size(), 1u);
   const auto [label, bias] = *adaptive.feedback().begin();
@@ -359,7 +332,7 @@ TEST(AutoBackend, FeedbackConvergesToStableModelError) {
   request.database = db;
   request.episodes = episodes;
 
-  PlannerOptions options = deterministic_options();
+  PlannerOptions options;
   // Grossly understate the serial cost so the model error is large and of
   // known sign: measured wall-clock will exceed the prediction.
   options.cpu_constants.serial_step_ns = 1e-4;
@@ -388,9 +361,32 @@ TEST(AutoBackend, FeedbackConvergesToStableModelError) {
 TEST(Planner, DefaultCandidateSpaceHasNoDistribCandidates) {
   // The planner must not assume extra devices exist: without an explicit
   // device_sweep the table is exactly the single-device space.
-  const Plan plan = plan_level(basic_workload(), deterministic_options());
+  const Plan plan = plan_level(basic_workload(), PlannerOptions{});
   for (const ScoredCandidate& c : plan.table) {
     EXPECT_NE(c.config.kind, BackendKind::kDistrib) << c.config.label();
+  }
+
+  // The host rows of every table are exactly the serial reference, the
+  // single scan, and one host distrib candidate per swept device count.
+  Workload expiring = basic_workload();
+  expiring.expiry = core::ExpiryPolicy{8};
+  Workload dense = basic_workload();
+  dense.semantics = core::Semantics::kContiguousRestart;
+  for (const std::vector<int>& sweep : {std::vector<int>{}, std::vector<int>{1, 2, 4}}) {
+    for (const Workload& w : {basic_workload(), expiring, dense}) {
+      PlannerOptions options;
+      options.device_sweep = sweep;
+      std::vector<std::string> host_rows;
+      for (const ScoredCandidate& c : plan_level(w, options).table) {
+        const bool device = c.config.kind == BackendKind::kGpuSim || c.config.distrib_gpu;
+        if (!device) host_rows.push_back(c.config.label());
+      }
+      std::sort(host_rows.begin(), host_rows.end());
+      std::vector<std::string> expected = {"cpu-serial", "cpu-single-scan"};
+      for (const int n : sweep) expected.push_back("distrib-x" + std::to_string(n));
+      std::sort(expected.begin(), expected.end());
+      EXPECT_EQ(host_rows, expected);
+    }
   }
 }
 
@@ -402,7 +398,7 @@ TEST(Planner, DeviceSweepFlipsToMultiCardOnTheLargeEvaluationShape) {
   Workload w = basic_workload();
   w.episode_count = 15'600;
   w.level = 3;
-  PlannerOptions options = deterministic_options();
+  PlannerOptions options;
   options.device_sweep = {1, 2, 4};
   const Plan plan = plan_level(w, options);
 
@@ -434,7 +430,7 @@ TEST(Planner, TinyShapesResistTheDeviceAxis) {
   w.episode_count = 26;
   w.level = 1;
   w.alphabet_size = 26;
-  PlannerOptions options = deterministic_options();
+  PlannerOptions options;
   options.device_sweep = {1, 2, 4, 8};
   const Plan plan = plan_level(w, options);
   ASSERT_TRUE(plan.winner().feasible);
@@ -461,7 +457,7 @@ TEST(Planner, PlannedDistribBackendsCountExactly) {
     config.threads = 3;
     config.distrib_gpu = gpu;
     config.threads_per_block = 128;
-    const auto backend = make_planned_backend(config, deterministic_options());
+    const auto backend = make_planned_backend(config, PlannerOptions{});
     const std::string expected_name =
         gpu ? "distrib-x3[gpusim]" : "distrib-x3[cpu-single-scan]";
     EXPECT_EQ(backend->name(), expected_name);
@@ -496,7 +492,6 @@ TEST(AutoBackend, MakeBackendSpellsDistribAndOpensTheDeviceAxis) {
 TEST(AutoBackend, MakeBackendSpellsAuto) {
   service::BackendSpec spec;
   spec.name = "auto";
-  spec.threads = 2;
   spec.card = "8800";
   const auto backend = service::make_backend(spec);
   ASSERT_NE(dynamic_cast<AutoBackend*>(backend.get()), nullptr);
@@ -504,6 +499,22 @@ TEST(AutoBackend, MakeBackendSpellsAuto) {
 
   const auto names = service::backend_names();
   EXPECT_NE(std::find(names.begin(), names.end(), "auto"), names.end());
+
+  // The retired host formulations are unknown names, and the rejection
+  // lists every name that remains.
+  for (const char* removed : {"cpu-parallel", "cpu-sharded", "cpu-trie-scan", "parallel"}) {
+    EXPECT_EQ(std::find(names.begin(), names.end(), removed), names.end()) << removed;
+    spec.name = removed;
+    try {
+      (void)service::make_backend(spec);
+      ADD_FAILURE() << removed << " still constructs";
+    } catch (const gm::PreconditionError& e) {
+      const std::string message = e.what();
+      for (const auto name : names) {
+        EXPECT_NE(message.find(std::string(name)), std::string::npos) << message;
+      }
+    }
+  }
 }
 
 }  // namespace

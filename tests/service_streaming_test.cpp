@@ -92,56 +92,52 @@ TEST(AppendEvents, RejectsSymbolsOutsideTheAlphabetAtomically) {
   EXPECT_EQ(session.database_size(), size);
 }
 
-TEST(StreamingMonitorTest, AlertsFireOnceWithExactCountsAcrossEngines) {
-  for (const core::ScanEngine engine :
-       {core::ScanEngine::kSingleScan, core::ScanEngine::kTrie}) {
-    Rng rng(0xA1E27);
-    data::Dataset dataset = make_dataset(6, 200, rng());
-    std::vector<core::Symbol> full = dataset.events;
-    MiningSession session(std::move(dataset), serial_options());
+TEST(StreamingMonitorTest, AlertsFireOnceWithExactCounts) {
+  Rng rng(0xA1E27);
+  data::Dataset dataset = make_dataset(6, 200, rng());
+  std::vector<core::Symbol> full = dataset.events;
+  MiningSession session(std::move(dataset), serial_options());
 
-    MonitorSpec spec;
-    spec.name = "watch";
-    spec.episodes = {core::Episode({0, 1}), core::Episode({2, 3, 2})};
-    spec.expiry = {9};
-    spec.engine = engine;
-    const auto initial_counts = [&] {
-      std::vector<std::int64_t> counts;
-      for (const core::Episode& e : spec.episodes) {
-        counts.push_back(core::count_occurrences(e, full, spec.semantics, spec.expiry));
-      }
-      return counts;
-    }();
-    // Threshold above the current count of episode 0 so the crossing happens
-    // mid-stream, during one specific later batch.
-    spec.threshold = initial_counts[0] + 5;
-    std::vector<Alert> alerts = session.register_monitor(spec);
-    for (const Alert& alert : alerts) {
-      EXPECT_GE(alert.count, spec.threshold);  // only already-over episodes fire here
+  MonitorSpec spec;
+  spec.name = "watch";
+  spec.episodes = {core::Episode({0, 1}), core::Episode({2, 3, 2})};
+  spec.expiry = {9};
+  const auto initial_counts = [&] {
+    std::vector<std::int64_t> counts;
+    for (const core::Episode& e : spec.episodes) {
+      counts.push_back(core::count_occurrences(e, full, spec.semantics, spec.expiry));
     }
-
-    int fired_for_episode0 = 0;
-    for (const Alert& a : alerts) fired_for_episode0 += a.episode_index == 0 ? 1 : 0;
-    for (int batch = 0; batch < 20; ++batch) {
-      const auto events = data::uniform_database(core::Alphabet(6), 60, rng());
-      const auto outcome = session.append_events(events);
-      full.insert(full.end(), events.begin(), events.end());
-      std::vector<std::int64_t> expected;
-      for (const core::Episode& e : spec.episodes) {
-        expected.push_back(core::count_occurrences(e, full, spec.semantics, spec.expiry));
-      }
-      ASSERT_EQ(session.monitor_counts("watch"), expected) << "batch " << batch;
-      for (const Alert& alert : outcome.alerts) {
-        EXPECT_EQ(alert.monitor, "watch");
-        EXPECT_GE(alert.count, spec.threshold);
-        EXPECT_EQ(alert.position, static_cast<std::int64_t>(full.size()));
-        fired_for_episode0 += alert.episode_index == 0 ? 1 : 0;
-      }
-    }
-    // The stream is long enough that episode 0 must have crossed — and the
-    // alert-once latch means exactly one alert total.
-    EXPECT_EQ(fired_for_episode0, 1) << "engine " << static_cast<int>(engine);
+    return counts;
+  }();
+  // Threshold above the current count of episode 0 so the crossing happens
+  // mid-stream, during one specific later batch.
+  spec.threshold = initial_counts[0] + 5;
+  std::vector<Alert> alerts = session.register_monitor(spec);
+  for (const Alert& alert : alerts) {
+    EXPECT_GE(alert.count, spec.threshold);  // only already-over episodes fire here
   }
+
+  int fired_for_episode0 = 0;
+  for (const Alert& a : alerts) fired_for_episode0 += a.episode_index == 0 ? 1 : 0;
+  for (int batch = 0; batch < 20; ++batch) {
+    const auto events = data::uniform_database(core::Alphabet(6), 60, rng());
+    const auto outcome = session.append_events(events);
+    full.insert(full.end(), events.begin(), events.end());
+    std::vector<std::int64_t> expected;
+    for (const core::Episode& e : spec.episodes) {
+      expected.push_back(core::count_occurrences(e, full, spec.semantics, spec.expiry));
+    }
+    ASSERT_EQ(session.monitor_counts("watch"), expected) << "batch " << batch;
+    for (const Alert& alert : outcome.alerts) {
+      EXPECT_EQ(alert.monitor, "watch");
+      EXPECT_GE(alert.count, spec.threshold);
+      EXPECT_EQ(alert.position, static_cast<std::int64_t>(full.size()));
+      fired_for_episode0 += alert.episode_index == 0 ? 1 : 0;
+    }
+  }
+  // The stream is long enough that episode 0 must have crossed — and the
+  // alert-once latch means exactly one alert total.
+  EXPECT_EQ(fired_for_episode0, 1);
 }
 
 TEST(StreamingMonitorTest, CheckpointJsonRoundTripsLosslessly) {
@@ -183,28 +179,43 @@ TEST(StreamingMonitorTest, SessionRestartResumesMonitorsFromPersistedJson) {
   // Persist, then "restart": a new session over the stream as it stood at
   // capture, restored from the JSON round trip.
   const std::string persisted = monitors_to_json(session.monitor_snapshots());
-
-  data::Dataset reborn = dataset_copy;
-  reborn.events.insert(reborn.events.end(), first_batch.begin(), first_batch.end());
-  MiningSession restarted(std::move(reborn), serial_options());
-  const auto snapshots = monitors_from_json(persisted);
-  ASSERT_EQ(snapshots.size(), 1u);
-  // Restoring against the matching stream replays nothing (high_water == db
-  // size) and fires nothing new.
-  const auto alerts = restarted.restore_monitor(snapshots.front());
-  EXPECT_TRUE(alerts.empty());
-  EXPECT_EQ(restarted.monitor_counts("persist"), session.monitor_counts("persist"));
-
-  // Both sessions continue identically.
+  const std::vector<std::int64_t> captured = session.monitor_counts("persist");
   const auto second_batch = data::uniform_database(core::Alphabet(8), 100, rng());
   const auto live = session.append_events(second_batch);
-  const auto resumed = restarted.append_events(second_batch);
-  EXPECT_EQ(restarted.monitor_counts("persist"), session.monitor_counts("persist"));
-  ASSERT_EQ(live.alerts.size(), resumed.alerts.size());
-  for (std::size_t i = 0; i < live.alerts.size(); ++i) {
-    EXPECT_EQ(live.alerts[i].episode_index, resumed.alerts[i].episode_index);
-    EXPECT_EQ(live.alerts[i].count, resumed.alerts[i].count);
-    EXPECT_EQ(live.alerts[i].position, resumed.alerts[i].position);
+  const core::ScanCheckpoint live_checkpoint = session.monitor_snapshots().front().checkpoint;
+
+  // The writer records no scan engine.  Files written while monitors could
+  // pick one carry an "engine" field, which the loader ignores whatever its
+  // value: checkpoints are engine-agnostic.
+  ASSERT_EQ(persisted.find("\"engine\""), std::string::npos);
+  std::string legacy = persisted;
+  const std::size_t threshold_at = legacy.find("\"threshold\":");
+  ASSERT_NE(threshold_at, std::string::npos);
+  legacy.insert(threshold_at, "\"engine\":7,");
+
+  for (const std::string& document : {persisted, legacy}) {
+    data::Dataset reborn = dataset_copy;
+    reborn.events.insert(reborn.events.end(), first_batch.begin(), first_batch.end());
+    MiningSession restarted(std::move(reborn), serial_options());
+    const auto snapshots = monitors_from_json(document);
+    ASSERT_EQ(snapshots.size(), 1u);
+    // Restoring against the matching stream replays nothing (high_water ==
+    // db size) and fires nothing new.
+    const auto alerts = restarted.restore_monitor(snapshots.front());
+    EXPECT_TRUE(alerts.empty());
+    EXPECT_EQ(restarted.monitor_counts("persist"), captured);
+
+    // The restored session continues exactly as the live one did.
+    const auto resumed = restarted.append_events(second_batch);
+    EXPECT_EQ(restarted.monitor_counts("persist"), session.monitor_counts("persist"));
+    EXPECT_EQ(restarted.monitor_snapshots().front().checkpoint.progress,
+              live_checkpoint.progress);
+    ASSERT_EQ(live.alerts.size(), resumed.alerts.size());
+    for (std::size_t i = 0; i < live.alerts.size(); ++i) {
+      EXPECT_EQ(live.alerts[i].episode_index, resumed.alerts[i].episode_index);
+      EXPECT_EQ(live.alerts[i].count, resumed.alerts[i].count);
+      EXPECT_EQ(live.alerts[i].position, resumed.alerts[i].position);
+    }
   }
 }
 
@@ -232,47 +243,43 @@ TEST(StreamingMonitorTest, IdleEvictionKeepsLiveEpisodeAlertsExact) {
   // sees nothing until its second symbol finally arrives long past the idle
   // horizon.  Eviction must drop exactly that straddling occurrence — and
   // nothing about the live episode's counts or alerts.
-  for (const core::ScanEngine engine :
-       {core::ScanEngine::kSingleScan, core::ScanEngine::kTrie}) {
-    MonitorSpec spec;
-    spec.name = "evict";
-    spec.episodes = {core::Episode({0, 1}), core::Episode({2, 3})};
-    spec.threshold = 5;
-    spec.engine = engine;
-    MonitorSpec evicting = spec;
-    evicting.idle_eviction_generations = 3;
-    StreamingMonitor plain(spec);
-    StreamingMonitor pruned(evicting);
+  MonitorSpec spec;
+  spec.name = "evict";
+  spec.episodes = {core::Episode({0, 1}), core::Episode({2, 3})};
+  spec.threshold = 5;
+  MonitorSpec evicting = spec;
+  evicting.idle_eviction_generations = 3;
+  StreamingMonitor plain(spec);
+  StreamingMonitor pruned(evicting);
 
-    const std::vector<std::vector<core::Symbol>> batches = {
-        {2}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {3}, {0, 1}};
-    std::vector<Alert> plain_alerts;
-    std::vector<Alert> pruned_alerts;
-    std::uint64_t generation = 1;
-    for (const auto& batch : batches) {
-      plain.on_append(batch, generation, plain_alerts);
-      pruned.on_append(batch, generation, pruned_alerts);
-      ++generation;
-    }
-
-    EXPECT_EQ(plain.idle_evictions(), 0);
-    EXPECT_EQ(pruned.idle_evictions(), 1) << "engine " << static_cast<int>(engine);
-    // The live episode is untouched: same exact counts, same single alert at
-    // the same crossing.
-    EXPECT_EQ(plain.counts()[0], pruned.counts()[0]);
-    ASSERT_EQ(plain_alerts.size(), pruned_alerts.size());
-    for (std::size_t i = 0; i < plain_alerts.size(); ++i) {
-      EXPECT_EQ(plain_alerts[i].episode_index, 0u);
-      EXPECT_EQ(plain_alerts[i].episode_index, pruned_alerts[i].episode_index);
-      EXPECT_EQ(plain_alerts[i].count, pruned_alerts[i].count);
-      EXPECT_EQ(plain_alerts[i].position, pruned_alerts[i].position);
-      EXPECT_EQ(plain_alerts[i].generation, pruned_alerts[i].generation);
-    }
-    // The idle episode's half-built match was really dropped: only the
-    // non-evicting monitor completes it when symbol 3 finally shows up.
-    EXPECT_EQ(plain.counts()[1], 1);
-    EXPECT_EQ(pruned.counts()[1], 0);
+  const std::vector<std::vector<core::Symbol>> batches = {
+      {2}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {3}, {0, 1}};
+  std::vector<Alert> plain_alerts;
+  std::vector<Alert> pruned_alerts;
+  std::uint64_t generation = 1;
+  for (const auto& batch : batches) {
+    plain.on_append(batch, generation, plain_alerts);
+    pruned.on_append(batch, generation, pruned_alerts);
+    ++generation;
   }
+
+  EXPECT_EQ(plain.idle_evictions(), 0);
+  EXPECT_EQ(pruned.idle_evictions(), 1);
+  // The live episode is untouched: same exact counts, same single alert at
+  // the same crossing.
+  EXPECT_EQ(plain.counts()[0], pruned.counts()[0]);
+  ASSERT_EQ(plain_alerts.size(), pruned_alerts.size());
+  for (std::size_t i = 0; i < plain_alerts.size(); ++i) {
+    EXPECT_EQ(plain_alerts[i].episode_index, 0u);
+    EXPECT_EQ(plain_alerts[i].episode_index, pruned_alerts[i].episode_index);
+    EXPECT_EQ(plain_alerts[i].count, pruned_alerts[i].count);
+    EXPECT_EQ(plain_alerts[i].position, pruned_alerts[i].position);
+    EXPECT_EQ(plain_alerts[i].generation, pruned_alerts[i].generation);
+  }
+  // The idle episode's half-built match was really dropped: only the
+  // non-evicting monitor completes it when symbol 3 finally shows up.
+  EXPECT_EQ(plain.counts()[1], 1);
+  EXPECT_EQ(pruned.counts()[1], 0);
 }
 
 TEST(StreamingMonitorTest, TicksRecordEveryAppendBatch) {

@@ -113,7 +113,7 @@ TEST(ServiceSession, MineMatchesOracleAndRepeatHitsCache) {
 TEST(ServiceSession, RandomizedCountsMatchOracleAcrossSemanticsAndExpiry) {
   Rng rng(2026);
   data::Dataset dataset = make_dataset(14, 5000, 7);
-  MiningSession session(dataset, {.backend = {.name = "auto", .threads = 2}});
+  MiningSession session(dataset, {.backend = {.name = "auto"}});
 
   for (const auto semantics :
        {core::Semantics::kNonOverlappedSubsequence, core::Semantics::kContiguousRestart}) {
