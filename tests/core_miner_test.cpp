@@ -12,6 +12,7 @@
 #include "core/cpu_backend.hpp"
 #include "core/miner.hpp"
 #include "data/generators.hpp"
+#include "distrib/distrib_backend.hpp"
 
 namespace gm::core {
 namespace {
@@ -148,6 +149,27 @@ TEST(Miner, SingleScanBackendAgreesWithSerial) {
   SingleScanCpuBackend single_scan;
   const auto a = mine_frequent_episodes(db, Alphabet(6), serial, config);
   const auto b = mine_frequent_episodes(db, Alphabet(6), single_scan, config);
+
+  ASSERT_EQ(a.total_frequent(), b.total_frequent());
+  for (std::size_t i = 0; i < a.frequent.size(); ++i) {
+    EXPECT_EQ(a.frequent[i].episode, b.frequent[i].episode);
+    EXPECT_EQ(a.frequent[i].count, b.frequent[i].count);
+  }
+}
+
+TEST(Miner, DistribBackendAgreesWithSerial) {
+  const auto db = data::uniform_database(Alphabet(6), 3000, 8);
+  MinerConfig config;
+  config.support_threshold = 0.002;
+  config.max_level = 3;
+  config.expiry = ExpiryPolicy{12};
+
+  SerialCpuBackend serial;
+  distrib::DistribOptions options;
+  options.shards = 3;
+  distrib::DistribBackend sharded(options);
+  const auto a = mine_frequent_episodes(db, Alphabet(6), serial, config);
+  const auto b = mine_frequent_episodes(db, Alphabet(6), sharded, config);
 
   ASSERT_EQ(a.total_frequent(), b.total_frequent());
   for (std::size_t i = 0; i < a.frequent.size(); ++i) {

@@ -154,6 +154,86 @@ TEST(ShardPlan, WeightedCutsShrinkDrainHeavyChunks) {
             (std::vector<std::int64_t>{41, 0, 0, 0, 0, 0, 0, 0, 4, 5}));
 }
 
+TEST(ShardPlan, CutsMatchAnExactReferenceOnRandomStreams) {
+  // Reference plan, computed the slow and obvious way: cut k lands after the
+  // first position whose running weight w satisfies w * chunks >= total * k,
+  // and a chunk's weight is the sum of its positions' weights.
+  Rng rng(0x5AAD);
+  for (int trial = 0; trial < 300; ++trial) {
+    const int alphabet = static_cast<int>(rng.between(1, 8));
+    const auto size = rng.between(0, 300);
+    core::Sequence db;
+    for (std::int64_t i = 0; i < size; ++i) {
+      db.push_back(static_cast<core::Symbol>(rng.below(static_cast<std::uint64_t>(alphabet))));
+    }
+    const auto episodes =
+        random_episodes(rng, static_cast<int>(rng.between(0, 12)), 4, alphabet);
+    const ShardPlanOptions options{static_cast<int>(rng.between(1, 6)),
+                                   static_cast<int>(rng.between(1, 5))};
+    const int chunks = options.shards * options.steal_granularity;
+
+    std::vector<std::int64_t> weight(static_cast<std::size_t>(alphabet), 1);
+    for (const Episode& e : episodes) {
+      for (const core::Symbol s : e.symbols()) ++weight[s];
+    }
+    std::int64_t total = 0;
+    for (const core::Symbol s : db) total += weight[s];
+    std::vector<std::int64_t> bounds = {0};
+    std::int64_t running = 0;
+    for (std::int64_t i = 0; i < size; ++i) {
+      running += weight[db[static_cast<std::size_t>(i)]];
+      while (static_cast<int>(bounds.size()) < chunks &&
+             running * chunks >= total * static_cast<std::int64_t>(bounds.size())) {
+        bounds.push_back(i + 1);
+      }
+    }
+    while (static_cast<int>(bounds.size()) < chunks + 1) bounds.push_back(size);
+    std::vector<std::int64_t> chunk_weight;
+    for (int c = 0; c < chunks; ++c) {
+      std::int64_t w = 0;
+      for (std::int64_t i = bounds[static_cast<std::size_t>(c)];
+           i < bounds[static_cast<std::size_t>(c) + 1]; ++i) {
+        w += weight[db[static_cast<std::size_t>(i)]];
+      }
+      chunk_weight.push_back(w);
+    }
+
+    const auto plan = make_shard_plan(db, episodes, options);
+    ASSERT_EQ(plan.chunk_bounds, bounds) << "trial " << trial;
+    ASSERT_EQ(plan.chunk_weight, chunk_weight) << "trial " << trial;
+    // Shard s owns the contiguous run of chunks [s*g, (s+1)*g).
+    for (int c = 0; c < plan.chunk_count(); ++c) {
+      EXPECT_EQ(plan.home_shard(c), c / options.steal_granularity);
+    }
+    EXPECT_EQ(plan.home_shard(plan.chunk_count() - 1), options.shards - 1);
+  }
+}
+
+TEST(ShardPlan, StreamsShorterThanTheGridLeaveEmptyChunks) {
+  const std::vector<Episode> episodes = {Episode({0, 1})};
+  const core::Sequence empty;
+  const auto none = make_shard_plan(empty, episodes, {3, 2});
+  EXPECT_EQ(none.chunk_bounds, std::vector<std::int64_t>(7, 0));
+  EXPECT_EQ(none.chunk_weight, std::vector<std::int64_t>(6, 0));
+
+  // Two positions of weight 2 over eight chunks: each position closes the
+  // chunk whose target it reaches, the rest stay empty, and the weights
+  // still partition the total.
+  const core::Sequence two = {0, 1};
+  const auto short_plan = make_shard_plan(two, episodes, {4, 2});
+  ASSERT_EQ(short_plan.chunk_count(), 8);
+  EXPECT_EQ(short_plan.chunk_bounds,
+            (std::vector<std::int64_t>{0, 1, 1, 1, 1, 2, 2, 2, 2}));
+  EXPECT_EQ(short_plan.chunk_weight, (std::vector<std::int64_t>{2, 0, 0, 0, 2, 0, 0, 0}));
+}
+
+TEST(ShardPlan, RejectsAnEmptyGrid) {
+  const core::Sequence db = {0, 1, 0};
+  const std::vector<Episode> episodes = {Episode({0})};
+  EXPECT_THROW((void)make_shard_plan(db, episodes, {0, 4}), PreconditionError);
+  EXPECT_THROW((void)make_shard_plan(db, episodes, {2, 0}), PreconditionError);
+}
+
 // --- scheduler --------------------------------------------------------------
 
 TEST(ShardScheduler, EveryChunkRunsExactlyOnce) {
@@ -280,6 +360,81 @@ TEST(DistribBackend, NameAndTelemetryDescribeTheRun) {
   std::int64_t total = 0;
   for (const auto n : backend.last_run().steal.chunks_by_worker) total += n;
   EXPECT_EQ(total, 8);
+}
+
+TEST(DistribBackend, MoreShardsThanEventsStillExact) {
+  // Sixteen shards of four chunks over six events: most chunks are empty and
+  // every boundary of the non-empty ones needs the fold's fix-up.
+  const std::vector<Episode> episodes = {Episode({0, 1}), Episode({1, 0}), Episode({0}),
+                                         Episode({1, 1, 0})};
+  const core::Sequence db = {0, 1, 0, 1, 1, 0};
+  for (const Semantics semantics :
+       {Semantics::kNonOverlappedSubsequence, Semantics::kContiguousRestart}) {
+    for (const WorkerKind worker : {WorkerKind::kSerial, WorkerKind::kSingleScan}) {
+      DistribOptions options;
+      options.shards = 16;
+      options.worker = worker;
+      DistribBackend backend(options);
+      core::CountRequest request;
+      request.database = db;
+      request.episodes = episodes;
+      request.semantics = semantics;
+      EXPECT_EQ(backend.count(request).counts, core::count_all(episodes, db, semantics))
+          << to_string(worker) << " " << core::to_string(semantics);
+      EXPECT_EQ(backend.last_run().chunks, 64);
+    }
+  }
+}
+
+TEST(DistribBackend, MoreShardsThanEpisodesStillExact) {
+  const Alphabet alphabet(3);
+  const auto db = data::uniform_database(alphabet, 2000, 5);
+  const std::vector<Episode> episodes = {Episode({0}), Episode({1}), Episode({0, 1})};
+  DistribOptions options;
+  options.shards = 16;
+  options.steal_granularity = 1;
+  DistribBackend backend(options);
+  core::CountRequest request;
+  request.database = db;
+  request.episodes = episodes;
+  request.expiry = ExpiryPolicy{7};
+  EXPECT_EQ(backend.count(request).counts,
+            core::count_all(episodes, db, request.semantics, request.expiry));
+}
+
+TEST(DistribBackend, ManyEpisodesMergeCompletely) {
+  // 97 episodes (prime, so no shard or chunk count divides it) must each be
+  // folded from every chunk exactly once.
+  Rng rng(9);
+  const Alphabet alphabet(6);
+  const auto db = data::uniform_database(alphabet, 2000, 1);
+  const auto episodes = random_episodes(rng, 97, 3, 6);
+  DistribOptions options;
+  options.shards = 5;
+  options.steal_granularity = 3;
+  DistribBackend backend(options);
+  core::CountRequest request;
+  request.database = db;
+  request.episodes = episodes;
+  EXPECT_EQ(backend.count(request).counts, core::count_all(episodes, db, request.semantics));
+}
+
+TEST(DistribBackend, EmptyInputsYieldExactCounts) {
+  DistribOptions options;
+  options.shards = 3;
+  DistribBackend backend(options);
+
+  const core::Sequence db = {0, 1, 2};
+  core::CountRequest no_episodes;
+  no_episodes.database = db;
+  EXPECT_TRUE(backend.count(no_episodes).counts.empty());
+
+  const std::vector<Episode> episodes = {Episode({0}), Episode({0, 1})};
+  const core::Sequence empty;
+  core::CountRequest no_events;
+  no_events.database = empty;
+  no_events.episodes = episodes;
+  EXPECT_EQ(backend.count(no_events).counts, (std::vector<std::int64_t>{0, 0}));
 }
 
 TEST(DistribBackend, SimulatedCardsScaleAndStayExact) {

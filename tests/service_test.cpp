@@ -550,5 +550,31 @@ TEST(ResultCacheTest, DigestSeparatesNearbyKeys) {
   EXPECT_NE(Digest().mix(0.5).value(), Digest().mix(0.25).value());
 }
 
+TEST(BackendFactory, DefaultSpecIsTheHostSingleScanAndEveryNameCountsExactly) {
+  // A spec that names nothing builds the host default; sessions keep "auto".
+  EXPECT_EQ(make_backend(BackendSpec{})->name(), "cpu-single-scan");
+  EXPECT_EQ(SessionOptions{}.backend.name, "auto");
+
+  // Every name the factory accepts builds a backend whose counts equal the
+  // serial reference on the same request.
+  Rng rng(0xFAC7);
+  const data::Dataset dataset = make_dataset(8, 3000, rng());
+  const auto episodes = random_level_episodes(rng, 8, 40, 3);
+  const core::ExpiryPolicy expiry{9};
+  const auto expected =
+      oracle_counts(dataset, episodes, core::Semantics::kNonOverlappedSubsequence, expiry);
+  for (const std::string_view name : backend_names()) {
+    BackendSpec spec;
+    spec.name = std::string(name);
+    spec.shards = 2;
+    const auto backend = make_backend(spec);
+    core::CountRequest request;
+    request.database = dataset.events;
+    request.episodes = episodes;
+    request.expiry = expiry;
+    EXPECT_EQ(backend->count(request).counts, expected) << name << " -> " << backend->name();
+  }
+}
+
 }  // namespace
 }  // namespace gm::service
