@@ -5,13 +5,15 @@
 //     --backend <name>             counting backend       (default
 //                                  cpu-single-scan; names from
 //                                  service::backend_names(); "auto" re-plans
-//                                  the formulation at every mining level from
-//                                  the analytic cost models)
+//                                  the formulation at every mining level,
+//                                  ranking the host formulations by predicted
+//                                  host wall-clock)
 //     --shards <n>                 distrib backends: shard/device count
 //                                  (0 = hw threads, or 2 cards for
-//                                  distrib-gpu); with "auto": score distrib
-//                                  candidates at 1..n devices (default 0)
-//     --card <8800|gx2|gtx280>     simulated card         (default gtx280)
+//                                  distrib-gpu); with "auto": score host
+//                                  distrib-x1..n candidates (default 0)
+//     --card <8800|gx2|gtx280>     simulated card for gpusim and
+//                                  distrib-gpu            (default gtx280)
 //     --algo <1|2|3|4|5>           GPU algorithm          (default 3;
 //                                  5 = block-bucketed single-scan)
 //     --explain                    with --backend auto: dump each level's
@@ -55,7 +57,10 @@ void print_usage(std::ostream& out, const char* argv0) {
          "       [--calibration profile.json] [dataset.txt]\n"
          "backends:";
   for (const auto name : gm::service::backend_names()) out << " " << name;
-  out << "\n";
+  out << "\n"
+         "auto ranks cpu-serial, cpu-single-scan and (with --shards N) distrib-x1..N by\n"
+         "predicted host wall-clock; planner_explain and backend_shootout rank the\n"
+         "simulated device by modeled ms.\n";
 }
 
 // Bad invocation: usage goes to stderr and the exit status is 2.  An explicit

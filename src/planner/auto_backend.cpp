@@ -9,7 +9,9 @@ namespace gm::planner {
 
 AutoBackend::AutoBackend(PlannerOptions options) : options_(std::move(options)) {}
 
-std::string AutoBackend::name() const { return "auto(" + options_.device.name + ")"; }
+std::string AutoBackend::name() const {
+  return "auto(" + (options_.enable_gpu ? options_.device.name : std::string("host")) + ")";
+}
 
 int AutoBackend::max_level() const {
   return options_.enable_cpu ? 0 : kernels::kMaxLevel;

@@ -107,9 +107,13 @@ struct PlannerOptions {
   /// (the default) keeps the single-device candidate space — the planner
   /// must not assume extra hardware exists unless the caller says so.
   std::vector<int> device_sweep = {};
-  /// Candidate-space gates (a shootout validating only host backends turns
-  /// the GPU off; both off is a precondition error in plan_level).
+  /// Candidate-space gates (both off is a precondition error in plan_level).
   bool enable_cpu = true;
+  /// The simulated-device family (gpusim, distrib-gpu), scored in modeled
+  /// device ms.  On for the paper-reproduction drivers; off wherever the
+  /// prediction must be the host wall a caller waits for:
+  /// service::planner_options_for ("auto", session admission) and a
+  /// shootout validating only host backends.
   bool enable_gpu = true;
   /// Reject formulations that return approximate counts for the requested
   /// semantics (the block-level kernels' overlap-rescan approximation under

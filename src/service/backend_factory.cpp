@@ -18,6 +18,10 @@ std::vector<std::string_view> backend_names() {
 
 planner::PlannerOptions planner_options_for(const BackendSpec& spec) {
   planner::PlannerOptions options;
+  // Only formulations whose predicted cost is host wall-clock: a gpusim pick
+  // here would make the caller wait for the host-side simulation, which the
+  // modeled device ms does not predict.
+  options.enable_gpu = false;
   options.device = gpusim::device_by_name(spec.card);
   if (spec.shards > 0) {
     // Open the device-count axis: the caller declared shards-many devices

@@ -21,15 +21,17 @@ namespace gm::service {
 struct BackendSpec {
   /// "cpu-serial" | "cpu-single-scan" | "distrib" | "distrib-gpu" |
   /// "gpusim" | "auto" (unprefixed cpu aliases accepted).  "auto" plans the
-  /// formulation per counting level (planner::AutoBackend): `card` names the
-  /// device its GPU candidates are scored for; `launch` is ignored (the
-  /// planner sweeps algorithms and threads-per-block itself).
+  /// formulation per counting level (planner::AutoBackend) among the host
+  /// formulations only (see planner_options_for); `launch` is ignored.
   std::string name = "cpu-single-scan";
+  /// Simulated card of "gpusim" and "distrib-gpu".  "auto" plans no device
+  /// formulation, so the card does not change what it picks.
   std::string card = "gtx280";
   kernels::MiningLaunchParams launch = {};  ///< gpusim only
   /// "auto" only: path of a fitted calibration profile (see calib/ and
   /// `backend_shootout --fit-calibration`) whose constants replace the
-  /// shipped cost-model defaults the planner scores with.  Empty = shipped.
+  /// shipped cost-model defaults the planner scores with.  Only its host
+  /// constants affect auto's picks.  Empty = shipped.
   std::string calibration = {};
   /// "distrib"/"distrib-gpu": shard/device count (0 = hardware concurrency
   /// for host workers, 2 cards — the GX2 — for the gpu flavor).  "auto":
@@ -45,11 +47,15 @@ struct BackendSpec {
 /// The names make_backend accepts (for --help text and shootout sweeps).
 [[nodiscard]] std::vector<std::string_view> backend_names();
 
-/// The planner options a spec implies: the device its card names, the
-/// device-count axis its shards open, and (when set) its calibration profile
-/// applied on top of the shipped cost constants.  This is what "auto" constructs AutoBackend
-/// with; MiningSession uses the same options for admission-control
-/// predictions so the planner scoring requests is the planner running them.
+/// The planner options a spec implies: the host family only (enable_gpu is
+/// off, so every predicted cost is host wall-clock, not modeled device ms),
+/// the host distrib-x1..shards axis its shards open, and (when set) its
+/// calibration profile applied on top of the shipped cost constants.  This
+/// is what "auto" constructs AutoBackend with; MiningSession uses the same
+/// options for admission-control predictions so the planner scoring
+/// requests is the planner running them.  The paper-reproduction drivers
+/// (planner_explain, backend_shootout) build PlannerOptions{} directly to
+/// rank the simulated device by modeled ms.
 [[nodiscard]] planner::PlannerOptions planner_options_for(const BackendSpec& spec);
 
 }  // namespace gm::service

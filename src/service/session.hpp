@@ -13,8 +13,11 @@
 // predicted time exceeds its latency budget is rejected before any counting
 // runs (ErrorCode::kAdmissionRejected), and a mining run whose later levels
 // blow the remaining budget is stopped between levels with the partial
-// result marked kTruncated.  Failures never escape as exceptions — they come
-// back as structured Rejections.
+// result marked kTruncated.  The planner options come from
+// planner_options_for, which scores host formulations only, so a prediction
+// is host wall-clock counting time.  It is the planner's pick, not the
+// configured backend, and it leaves out candidate generation.  Failures
+// never escape as exceptions — they come back as structured Rejections.
 //
 // Concurrency: any number of threads may call mine/count concurrently.  A
 // shared mutex guards the database (reload() takes it exclusively, so a

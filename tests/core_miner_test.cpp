@@ -68,6 +68,38 @@ TEST(Miner, MaxLevelBoundsTheRun) {
   for (const auto& f : result.frequent) EXPECT_LE(f.episode.level(), 2);
 }
 
+TEST(Miner, StopsGeneratingCandidatesAtTheLevelCap) {
+  // Every ordered pair of the 255 symbols occurs in 0..254,0..254, so
+  // level 2 keeps all of its candidates.  Generating their successors would
+  // join the pairs with each other into ~16.6M level-3 episodes that max_level
+  // forbids counting; the miner must stop before that join.  No clock is
+  // read here: the dedicated ctest entry for this case carries a TIMEOUT
+  // (tests/CMakeLists.txt) that the wasted join cannot meet.
+  const Alphabet alphabet(255);  // the largest alphabet an 8-bit Symbol allows
+  Sequence db;
+  for (int copy = 0; copy < 2; ++copy) {
+    for (int s = 0; s < alphabet.size(); ++s) db.push_back(static_cast<Symbol>(s));
+  }
+  MinerConfig config;
+  config.support_threshold = 0.0;
+  config.max_level = 2;
+
+  SerialCpuBackend serial;
+  SingleScanCpuBackend single_scan;
+  const auto expected = mine_frequent_episodes(db, alphabet, serial, config);
+  const auto result = mine_frequent_episodes(db, alphabet, single_scan, config);
+
+  ASSERT_EQ(result.levels.size(), 2u);
+  EXPECT_EQ(result.levels[1].candidates, 255 * 255);
+  EXPECT_EQ(result.levels[1].frequent, result.levels[1].candidates);
+  EXPECT_FALSE(result.truncated);
+  ASSERT_EQ(result.total_frequent(), expected.total_frequent());
+  for (std::size_t i = 0; i < result.frequent.size(); ++i) {
+    EXPECT_EQ(result.frequent[i].episode, expected.frequent[i].episode);
+    EXPECT_EQ(result.frequent[i].count, expected.frequent[i].count);
+  }
+}
+
 TEST(Miner, UnboundedRunTerminatesWhenCandidatesDie) {
   // A 2-symbol alphabet with support so high only singles survive.
   Sequence db;

@@ -13,6 +13,7 @@
 
 #include "common/error.hpp"
 #include "core/cpu_backend.hpp"
+#include "core/episode_trie.hpp"
 #include "core/miner.hpp"
 #include "core/serial_counter.hpp"
 #include "data/generators.hpp"
@@ -483,6 +484,29 @@ TEST(AutoBackend, MakeBackendSpellsDistribAndOpensTheDeviceAxis) {
   spec.shards = 3;
   const PlannerOptions options = service::planner_options_for(spec);
   EXPECT_EQ(options.device_sweep, (std::vector<int>{1, 2, 3}));
+
+  // The paper's level-3 workload, as planner_explain builds it.  What "auto"
+  // plans with is scored in host wall-clock only: the serial and single-scan
+  // rows plus one host distrib row per opened shard count.
+  Workload paper_l3 = basic_workload();
+  paper_l3.episode_count = 15'600;
+  paper_l3.level = 3;
+  paper_l3.prefix_compression =
+      core::prefix_compression(core::all_distinct_episodes(core::Alphabet(26), 3));
+  std::vector<std::string> rows;
+  for (const ScoredCandidate& c : plan_level(paper_l3, options).table) {
+    EXPECT_NE(c.config.kind, BackendKind::kGpuSim) << c.config.label();
+    EXPECT_FALSE(c.config.distrib_gpu) << c.config.label();
+    rows.push_back(c.config.label());
+  }
+  std::sort(rows.begin(), rows.end());
+  EXPECT_EQ(rows, (std::vector<std::string>{"cpu-serial", "cpu-single-scan", "distrib-x1",
+                                            "distrib-x2", "distrib-x3"}));
+
+  // The paper-reproduction drivers build PlannerOptions{} directly and keep
+  // ranking the simulated device by modeled ms.
+  EXPECT_EQ(plan_level(paper_l3, PlannerOptions{}).winner().config.label(),
+            "gpusim-algo5-trie/t128");
 
   const auto names = service::backend_names();
   EXPECT_NE(std::find(names.begin(), names.end(), "distrib"), names.end());

@@ -313,6 +313,46 @@ TEST(ServiceSession, MidBudgetMineTruncatesBetweenLevelsExactly) {
   }
 }
 
+TEST(ServiceSession, DefaultSessionAdmissionPredictsHostWall) {
+  // The default ("auto") session must predict what the caller waits for.
+  // Counting 17,576 level-3 candidates over 20k events takes over 100 host
+  // milliseconds; a planner that scored simulated device time admitted this
+  // mine under a 100 ms budget (at 50k events, at ~12 ms predicted).  The
+  // stream is kept at 20k so the serial oracle below stays affordable under
+  // the thread sanitizer.
+  data::Dataset dataset = make_dataset(26, 20'000, 7);
+  MiningSession session(dataset, SessionOptions{});
+
+  MineRequest budgeted;
+  budgeted.config.support_threshold = 0.0;
+  budgeted.config.max_level = 3;
+  budgeted.limits.latency_budget_ms = 100.0;
+  const MineResponse partial = session.mine(budgeted);
+  ASSERT_EQ(partial.disposition, Disposition::kTruncated) << partial.rejection.reason;
+  EXPECT_EQ(partial.rejection.code, ErrorCode::kAdmissionRejected);
+  EXPECT_TRUE(partial.result.truncated);
+  EXPECT_GT(partial.timing.predicted_ms, budgeted.limits.latency_budget_ms);
+
+  core::SerialCpuBackend serial;
+  core::MinerConfig two_levels = budgeted.config;
+  two_levels.max_level = 2;
+  const core::MiningResult want_two =
+      core::mine_frequent_episodes(dataset.events, dataset.alphabet, serial, two_levels);
+  expect_same_mining(partial.result, want_two);
+
+  MineRequest unbudgeted = budgeted;
+  unbudgeted.limits.latency_budget_ms = 0.0;
+  const MineResponse full = session.mine(unbudgeted);
+  ASSERT_EQ(full.disposition, Disposition::kServed) << full.rejection.reason;
+  ASSERT_EQ(full.plan_notes.size(), 3u);
+  for (const std::string& note : full.plan_notes) {
+    EXPECT_EQ(note.find("gpusim"), std::string::npos) << note;
+    EXPECT_EQ(note.find("distrib-gpu"), std::string::npos) << note;
+  }
+  expect_same_mining(full.result, core::mine_frequent_episodes(dataset.events, dataset.alphabet,
+                                                               serial, unbudgeted.config));
+}
+
 TEST(ServiceSession, LevelCapIsACapabilityRejection) {
   MiningSession session(make_dataset(6, 400, 9),
                         {.backend = {.name = "gpusim"}});
