@@ -48,11 +48,14 @@ core::CountResult AutoBackend::count(const core::CountRequest& request) {
         std::string(backend_kind_name(plans_.back().winner().config.kind)));
   }
   const double prior = prior_it == options_.measured_bias.end() ? 1.0 : prior_it->second;
-  const double raw_predicted_ms = predicted_ms / prior;
+  options_.measured_bias[key] = folded_bias(prior, predicted_ms / prior, measured_ms);
+  return result;
+}
+
+double AutoBackend::folded_bias(double prior, double raw_predicted_ms, double measured_ms) {
   const double observed =
       (measured_ms + kFeedbackFloorMs) / (raw_predicted_ms + kFeedbackFloorMs);
-  options_.measured_bias[key] = (1.0 - kFeedbackBlend) * prior + kFeedbackBlend * observed;
-  return result;
+  return (1.0 - kFeedbackBlend) * prior + kFeedbackBlend * observed;
 }
 
 }  // namespace gm::planner

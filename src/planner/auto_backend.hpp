@@ -50,9 +50,19 @@ class AutoBackend final : public core::CountingBackend {
 
   /// EWMA weight of the newest measured/predicted observation.
   static constexpr double kFeedbackBlend = 0.4;
-  /// Noise floor (ms) on both sides of the observed ratio, mirroring the
-  /// shootout's regret floor: sub-floor levels cannot swing the bias.
-  static constexpr double kFeedbackFloorMs = 0.05;
+  /// Noise floor (ms) on both sides of the observed ratio: sub-floor levels
+  /// cannot swing the bias.  Sized for host wall-clock, which is what the
+  /// service's host-only plans measure: one preemption on a busy host stalls
+  /// a level by a scheduler period or more (tens of ms), so a floor below
+  /// that lets a few-ms level 1 measured at 40 ms flip level 2 to a
+  /// formulation that runs an order of magnitude slower.  A level measured
+  /// under the floor moves its bias by at most kFeedbackBlend.
+  static constexpr double kFeedbackFloorMs = 50.0;
+
+  /// The bias after one observation: `prior` blended toward the floored
+  /// ratio of `measured_ms` to the unbiased model prediction.
+  [[nodiscard]] static double folded_bias(double prior, double raw_predicted_ms,
+                                          double measured_ms);
 
  private:
   PlannerOptions options_;

@@ -359,6 +359,47 @@ TEST(AutoBackend, FeedbackConvergesToStableModelError) {
   }
 }
 
+TEST(AutoBackend, SubFloorLevelCannotFlipTheNextPaperLevel) {
+  // Host wall-clock feedback must not turn a scheduler stall into a plan
+  // flip.  A level measured under the floor moves the bias by at most
+  // kFeedbackBlend, whatever it measured; on the paper's level-2 shape the
+  // host runner-up trails the winner by more than that, so no stall of a
+  // few-ms level 1 can hand level 2 to the slower formulation.
+  const PlannerOptions options = service::planner_options_for({.name = "auto"});
+  const Plan paper_l2 = plan_level(basic_workload(), options);
+  ASSERT_GE(paper_l2.table.size(), 2u);
+  ASSERT_TRUE(paper_l2.table[1].feasible);
+  const double margin = paper_l2.table[1].predicted_ms / paper_l2.winner().predicted_ms;
+  EXPECT_GT(margin, 1.0 + AutoBackend::kFeedbackBlend)
+      << paper_l2.winner().config.label() << " vs " << paper_l2.table[1].config.label();
+
+  // The stall that flipped level 2 on a loaded 4-core host: the paper's
+  // level 1 (predicted ~7 ms, counted in ~5 ms) measured at 42 ms.
+  Workload paper_l1 = basic_workload();
+  paper_l1.episode_count = 26;
+  paper_l1.level = 1;
+  const double l1_predicted_ms = plan_level(paper_l1, options).winner().predicted_ms;
+  EXPECT_LT(AutoBackend::folded_bias(1.0, l1_predicted_ms, 42.0), margin);
+  EXPECT_LE(AutoBackend::folded_bias(1.0, 0.0, AutoBackend::kFeedbackFloorMs),
+            1.0 + AutoBackend::kFeedbackBlend);
+
+  // The live path folds the same way: a short level stays under the bound.
+  const core::Alphabet alphabet(26);
+  const auto db = data::uniform_database(alphabet, 2'000, 5);
+  const auto episodes = core::all_distinct_episodes(alphabet, 1);
+  core::CountRequest request;
+  request.database = db;
+  request.episodes = episodes;
+
+  AutoBackend adaptive{options};
+  const core::CountResult result = adaptive.count(request);
+  ASSERT_LT(result.host_ms, AutoBackend::kFeedbackFloorMs);
+  ASSERT_EQ(adaptive.feedback().size(), 1u);
+  const double bias = adaptive.feedback().begin()->second;
+  EXPECT_GT(bias, 0.0);
+  EXPECT_LE(bias, 1.0 + AutoBackend::kFeedbackBlend);
+}
+
 TEST(Planner, DefaultCandidateSpaceHasNoDistribCandidates) {
   // The planner must not assume extra devices exist: without an explicit
   // device_sweep the table is exactly the single-device space.
