@@ -1,7 +1,8 @@
 // Counting backend interface: the paper's "counting step" (the expensive map
 // phase of Algorithm 1) behind a uniform API so the miner can run on the
-// serial CPU, a multi-threaded CPU, or any of the four simulated-GPU
-// algorithms interchangeably.
+// serial CPU, the single-scan engine (split by episode across host threads
+// on large requests), the database-sharded distrib backend, or any of the
+// five simulated-GPU algorithms interchangeably.
 #pragma once
 
 #include <cstdint>

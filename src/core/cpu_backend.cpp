@@ -1,8 +1,13 @@
 #include "core/cpu_backend.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <exception>
+#include <mutex>
 #include <thread>
 
+#include "common/error.hpp"
 #include "core/multi_counter.hpp"
 #include "core/serial_counter.hpp"
 
@@ -10,6 +15,10 @@ namespace gm::core {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Smallest request (episodes x events) cpu-single-scan splits: below it the
+/// thread spawn and the extra per-slice database passes outweigh the counting.
+constexpr double kSplitEpisodeEvents = 134'217'728.0;  // 2^27
 
 double elapsed_ms(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
@@ -31,11 +40,72 @@ CountResult SerialCpuBackend::count(const CountRequest& request) {
   return result;
 }
 
+int single_scan_workers(std::int64_t episode_count, std::int64_t event_count) noexcept {
+  // Read once: the planner asks for every candidate it scores, and the
+  // hardware concurrency query reads the system's CPU list each time.
+  static const int hardware = resolved_thread_count(0);
+  if (episode_count < 2 * static_cast<std::int64_t>(hardware)) return 1;
+  if (static_cast<double>(episode_count) * static_cast<double>(event_count) <
+      kSplitEpisodeEvents) {
+    return 1;
+  }
+  return hardware;
+}
+
+std::vector<std::int64_t> count_single_scan_split(const CountRequest& request, int workers) {
+  gm::expects(workers >= 1, "single-scan split needs at least one worker");
+  const std::span<const Episode> episodes = request.episodes;
+  if (workers == 1 || episodes.size() < 2) {
+    return count_all_single_scan(episodes, request.database, request.semantics, request.expiry);
+  }
+  // Validate on the calling thread, so the common input error never has to
+  // cross a thread boundary.
+  for (const auto& e : episodes) gm::expects(!e.empty(), "cannot count an empty episode");
+
+  // Contiguous slices claimed through one cursor; each runs the unchanged
+  // engine over the whole database and writes its own range of `counts`.
+  const std::size_t n = episodes.size();
+  const std::size_t slices =
+      std::min(n, static_cast<std::size_t>(workers) * kSingleScanSlicesPerWorker);
+  const int threads = static_cast<int>(std::min(static_cast<std::size_t>(workers), slices));
+  std::vector<std::int64_t> counts(n, 0);
+  std::atomic<std::size_t> cursor{0};
+  std::mutex failure_mutex;
+  std::exception_ptr failure;  // guarded by failure_mutex
+  auto work = [&]() noexcept {
+    try {
+      for (std::size_t s = cursor.fetch_add(1, std::memory_order_relaxed); s < slices;
+           s = cursor.fetch_add(1, std::memory_order_relaxed)) {
+        const std::size_t lo = n * s / slices;
+        const std::size_t hi = n * (s + 1) / slices;
+        const std::vector<std::int64_t> part = count_all_single_scan(
+            episodes.subspan(lo, hi - lo), request.database, request.semantics, request.expiry);
+        std::copy(part.begin(), part.end(), counts.begin() + static_cast<std::ptrdiff_t>(lo));
+      }
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(failure_mutex);
+      if (!failure) failure = std::current_exception();
+      cursor.store(slices, std::memory_order_relaxed);  // the others stop claiming
+    }
+  };
+  {
+    // jthread joins on destruction, so the workers are joined before the
+    // state they share goes away, even if spawning a later one throws.
+    std::vector<std::jthread> pool;
+    pool.reserve(static_cast<std::size_t>(threads - 1));
+    for (int t = 1; t < threads; ++t) pool.emplace_back(work);
+    work();
+  }
+  if (failure) std::rethrow_exception(failure);
+  return counts;
+}
+
 CountResult SingleScanCpuBackend::count(const CountRequest& request) {
   const auto start = Clock::now();
   CountResult result;
-  result.counts = count_all_single_scan(request.episodes, request.database, request.semantics,
-                                        request.expiry);
+  result.counts = count_single_scan_split(
+      request, single_scan_workers(static_cast<std::int64_t>(request.episodes.size()),
+                                   static_cast<std::int64_t>(request.database.size())));
   result.host_ms = elapsed_ms(start);
   return result;
 }

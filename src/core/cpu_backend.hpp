@@ -3,16 +3,22 @@
 //
 //   backend            per-level cost
 //   cpu-serial         O(|DB| * |eps|)
-//   cpu-single-scan    O(|DB| * (1 + |eps|/|alphabet|))
+//   cpu-single-scan    O(|DB| * (1 + |eps|/|alphabet|)), split by episode
+//                      across the hardware threads on large requests
 //
 // cpu-single-scan replaces brute-force rescans with one pass driving all
-// automata through a waiting-symbol bucket index.  The database-parallel axis
+// automata through a waiting-symbol bucket index.  Every episode's automaton
+// is independent, so a large request is cut into contiguous episode slices
+// that worker threads count concurrently, each slice over the whole database:
+// counts stay bit-exact with nothing to fold.  The database-parallel axis
 // belongs to distrib::DistribBackend ("distrib-xN"), which runs single-scan
 // workers over a work-stealing chunk grid and stays exact under expiry.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string_view>
+#include <vector>
 
 #include "core/counting.hpp"
 
@@ -25,8 +31,10 @@ class SerialCpuBackend final : public CountingBackend {
   [[nodiscard]] CountResult count(const CountRequest& request) override;
 };
 
-/// Single-threaded single-scan engine: one database pass drives all episode
-/// automata via the waiting-symbol bucket index (core/multi_counter.hpp).
+/// Single-scan engine: one database pass drives all episode automata via the
+/// waiting-symbol bucket index (core/multi_counter.hpp).  Requests at or
+/// above the split threshold (single_scan_workers) run episode slices on
+/// every hardware thread; smaller ones stay on the calling thread.
 class SingleScanCpuBackend final : public CountingBackend {
  public:
   [[nodiscard]] std::string name() const override { return "cpu-single-scan"; }
@@ -36,6 +44,24 @@ class SingleScanCpuBackend final : public CountingBackend {
 /// The worker count a host pool sized with `threads` will actually use: 0
 /// resolves to the hardware concurrency, and the result is never less than 1.
 [[nodiscard]] int resolved_thread_count(int threads) noexcept;
+
+/// Worker threads cpu-single-scan counts a request of this shape with: 1
+/// below 2^27 episode-events or below two episodes per hardware thread,
+/// otherwise resolved_thread_count(0).  The planner's cost curve calls this
+/// too, so the prediction follows the engine.
+[[nodiscard]] int single_scan_workers(std::int64_t episode_count,
+                                      std::int64_t event_count) noexcept;
+
+/// Episode slices handed out per worker: enough that a slow slice does not
+/// leave the other workers idle at the end.
+inline constexpr int kSingleScanSlicesPerWorker = 4;
+
+/// cpu-single-scan's counting with an explicit worker count (the backend
+/// passes single_scan_workers); exposed so tests can force the split on small
+/// inputs.  Episodes are validated on the calling thread, and a worker's
+/// exception is rethrown here after every worker has joined.
+[[nodiscard]] std::vector<std::int64_t> count_single_scan_split(const CountRequest& request,
+                                                                int workers);
 
 /// Construct a CPU backend by name: "cpu-serial" or "cpu-single-scan"
 /// (unprefixed aliases accepted).  Returns nullptr for unknown names so

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "core/cpu_backend.hpp"
 #include "kernels/workload_model.hpp"
 
 namespace gm::planner {
@@ -30,6 +31,29 @@ double spawn_ms(int workers, const CpuCostConstants& c) {
   return workers > 1 ? static_cast<double>(workers) * c.thread_spawn_us * kUsToMs : 0.0;
 }
 
+double single_scan_probe_ms(const Workload& w, const CpuCostConstants& c) {
+  return static_cast<double>(w.db_size) * c.scan_probe_ns * kNsToMs;
+}
+
+/// cpu-single-scan on one thread: the engine each episode slice, and each
+/// distrib map worker, runs.
+double single_scan_one_thread_ms(const Workload& w, const CpuCostConstants& c) {
+  const double steps = checked_shape(w);
+  if (w.semantics == core::Semantics::kContiguousRestart) {
+    // Dense fallback: mismatch edges mean every symbol can advance any
+    // automaton, so the bucket index cannot skip work.
+    return steps * c.scan_dense_step_ns * kNsToMs;
+  }
+  const double drains = steps * drain_rate(w);
+  double ms = single_scan_probe_ms(w, c) + drains * c.scan_drain_ns * kNsToMs;
+  if (w.expiry.enabled() && w.level > 1) {
+    // One deadline push per match start (~drains / level) plus its pop;
+    // level-1 occurrences cannot expire mid-match.
+    ms += drains / static_cast<double>(w.level) * c.expiry_heap_ns * kNsToMs;
+  }
+  return ms;
+}
+
 }  // namespace
 
 double predict_cpu_serial_ms(const Workload& w, const CpuCostConstants& c) {
@@ -47,30 +71,27 @@ double predict_cpu_serial_ms(const Workload& w, const CpuCostConstants& c) {
 }
 
 double predict_cpu_single_scan_ms(const Workload& w, const CpuCostConstants& c) {
-  const double steps = checked_shape(w);
-  const double db = static_cast<double>(w.db_size);
-  if (w.semantics == core::Semantics::kContiguousRestart) {
-    // Dense fallback: mismatch edges mean every symbol can advance any
-    // automaton, so the bucket index cannot skip work.
-    return steps * c.scan_dense_step_ns * kNsToMs;
-  }
-  const double drains = steps * drain_rate(w);
-  double ms = db * c.scan_probe_ns * kNsToMs + drains * c.scan_drain_ns * kNsToMs;
-  if (w.expiry.enabled() && w.level > 1) {
-    // One deadline push per match start (~drains / level) plus its pop;
-    // level-1 occurrences cannot expire mid-match.
-    ms += drains / static_cast<double>(w.level) * c.expiry_heap_ns * kNsToMs;
-  }
-  return ms;
+  const int workers = core::single_scan_workers(w.episode_count, w.db_size);
+  if (workers == 1) return single_scan_one_thread_ms(w, c);
+  // Episode split: each worker drives the whole database once per slice it
+  // claims, in parallel with the others, and the per-episode work (drains,
+  // deadlines, or the dense steps) divides across the workers.
+  const double passes = static_cast<double>(core::kSingleScanSlicesPerWorker);
+  const double probe_ms =
+      w.semantics == core::Semantics::kContiguousRestart ? 0.0 : single_scan_probe_ms(w, c);
+  const double per_episode_ms = single_scan_one_thread_ms(w, c) - probe_ms;
+  return passes * probe_ms + per_episode_ms / static_cast<double>(workers) +
+         spawn_ms(workers, c);
 }
 
 double predict_cpu_distrib_ms(const Workload& w, int shards, const CpuCostConstants& c) {
   gm::expects(shards >= 1, "cpu cost model needs a positive shard count");
   const int chunks = shards * kPlannedStealGranularity;
 
-  // Map: each worker cold-scans its claimed chunks with the single-scan
-  // engine; stealing keeps the split near-perfect, so divide by shards.
-  const double map_ms = predict_cpu_single_scan_ms(w, c) / static_cast<double>(shards);
+  // Map: each worker cold-scans its claimed chunks with the one-thread
+  // single-scan engine; stealing keeps the split near-perfect, so divide by
+  // shards.
+  const double map_ms = single_scan_one_thread_ms(w, c) / static_cast<double>(shards);
 
   // Reduce: one fold step per (episode, chunk), plus the expected serial
   // rescan where a chunk boundary lands inside a live match.

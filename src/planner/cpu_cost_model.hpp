@@ -7,9 +7,13 @@
 //
 //   cpu-serial        |DB| * |eps| automaton steps
 //   cpu-single-scan   |DB| probes + |DB| * |eps| * drain_rate drains
-//                     (contiguous restart falls back to the dense scan)
-//   distrib-xN        single-scan map / N + chunk-ordered fold + boundary
-//                     rescans + per-chunk steal cost + per-worker spawn cost
+//                     (contiguous restart falls back to the dense scan);
+//                     split by episode over W = core::single_scan_workers
+//                     threads: |DB| probes per slice pass, the per-episode
+//                     terms / W, plus per-worker spawn cost
+//   distrib-xN        one-thread single-scan map / N + chunk-ordered fold +
+//                     boundary rescans + per-chunk steal cost + per-worker
+//                     spawn cost
 //
 // drain_rate is the same skew-aware bucket-occupancy term the Algorithm-5
 // device model uses (kernels::bucket_drain_rate), so CPU and GPU predictions

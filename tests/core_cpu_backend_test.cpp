@@ -1,10 +1,12 @@
 // CPU counting backend tests: randomized bit-exact agreement of the
-// single-scan backend with the serial reference, empty inputs, and the
-// by-name factory.
+// single-scan backend (and its episode split, forced on small inputs) with
+// the serial reference, the split threshold, empty inputs, and the by-name
+// factory.
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/cpu_backend.hpp"
 #include "data/generators.hpp"
@@ -27,6 +29,52 @@ TEST(SingleScanCpuBackend, AgreesWithSerialBackend) {
   SerialCpuBackend serial;
   SingleScanCpuBackend single_scan;
   EXPECT_EQ(single_scan.count(request).counts, serial.count(request).counts);
+}
+
+TEST(SingleScanSplit, ThreeWorkersMatchSerialBitForBit) {
+  // 3 workers cut 12 slices: 50 episodes leave uneven slices, 7 fewer
+  // episodes than slices, and 1 leaves nothing to split.
+  Rng rng(2027);
+  const Alphabet alphabet(9);
+  const auto db = data::uniform_database(alphabet, 3000, 11);
+  SerialCpuBackend serial;
+  for (const Semantics semantics :
+       {Semantics::kNonOverlappedSubsequence, Semantics::kContiguousRestart}) {
+    for (const ExpiryPolicy expiry : {ExpiryPolicy{}, ExpiryPolicy{5}}) {
+      for (const int count : {50, 7, 1}) {
+        const auto episodes = random_episodes(rng, 9, count, 4);
+        CountRequest request;
+        request.database = db;
+        request.episodes = episodes;
+        request.semantics = semantics;
+        request.expiry = expiry;
+        EXPECT_EQ(count_single_scan_split(request, 3), serial.count(request).counts)
+            << to_string(semantics) << " window " << expiry.window << " episodes " << count;
+      }
+    }
+  }
+}
+
+TEST(SingleScanSplit, EmptyEpisodeRaisesOnTheCaller) {
+  const Sequence db = {0, 1, 2, 0, 1, 2};
+  std::vector<Episode> episodes(8, Episode(std::vector<Symbol>{0, 1}));
+  episodes[5] = Episode();
+  CountRequest request;
+  request.database = db;
+  request.episodes = episodes;
+  EXPECT_THROW((void)count_single_scan_split(request, 3), gm::Error);
+}
+
+TEST(SingleScanSplit, ThresholdKeepsServiceTrafficOnOneThread) {
+  const int hardware = resolved_thread_count(0);
+  // The largest service requests: a 128-episode count, a batched pair of
+  // them, and a level-2 mine, each over a 100,000-event database.
+  for (const std::int64_t episodes : {128, 256, 676}) {
+    EXPECT_EQ(single_scan_workers(episodes, 100'000), 1) << episodes;
+  }
+  EXPECT_EQ(single_scan_workers(2 * hardware - 1, 1'000'000'000), 1);
+  // The paper's level 3: 17,576 candidates over 393,019 events.
+  EXPECT_EQ(single_scan_workers(17'576, 393'019), hardware);
 }
 
 TEST(CpuBackends, EmptyEpisodeListYieldsEmptyCounts) {

@@ -220,6 +220,43 @@ TEST(Planner, SkewedFrequenciesLowerBucketIndexedPredictions) {
                    predict_cpu_serial_ms(uniform, constants));
 }
 
+TEST(Planner, SingleScanCurveFollowsTheEpisodeSplit) {
+  const CpuCostConstants c;
+  // The one-thread curve on a uniform stream: |DB| probes plus |DB| * |eps|
+  // / |alphabet| drains.
+  const auto one_thread_ms = [&](const Workload& w) {
+    const double db = static_cast<double>(w.db_size);
+    return db * c.scan_probe_ns * 1e-6 + db * static_cast<double>(w.episode_count) /
+                                             static_cast<double>(w.alphabet_size) *
+                                             c.scan_drain_ns * 1e-6;
+  };
+  // Below the split threshold (a service count over 100,000 events) the
+  // curve is the one-thread curve.
+  Workload service = basic_workload();
+  service.db_size = 100'000;
+  service.episode_count = 128;
+  service.level = 3;
+  EXPECT_EQ(core::single_scan_workers(service.episode_count, service.db_size), 1);
+  EXPECT_DOUBLE_EQ(predict_cpu_single_scan_ms(service, c), one_thread_ms(service));
+
+  // The paper's level 3: every worker drives the database once per slice
+  // and takes 1/W of the drains, plus the spawn cost.
+  Workload paper = basic_workload();
+  paper.episode_count = 17'576;
+  paper.level = 3;
+  const int workers = core::single_scan_workers(paper.episode_count, paper.db_size);
+  const double probe_ms = static_cast<double>(paper.db_size) * c.scan_probe_ns * 1e-6;
+  const double split_ms =
+      workers == 1 ? one_thread_ms(paper)
+                   : core::kSingleScanSlicesPerWorker * probe_ms +
+                         (one_thread_ms(paper) - probe_ms) / workers +
+                         workers * c.thread_spawn_us * 1e-3;
+  EXPECT_NEAR(predict_cpu_single_scan_ms(paper, c), split_ms, 1e-9 * split_ms);
+  // distrib's map divides the one-thread engine by its shards; it must not
+  // also divide by the single-scan split.
+  EXPECT_GT(predict_cpu_distrib_ms(paper, 1, c), one_thread_ms(paper));
+}
+
 TEST(Planner, WorkloadOfMeasuresShapeAndSkew) {
   const core::Alphabet alphabet(16);
   const auto db = data::zipf_database(alphabet, 20'000, 1.0, 9);

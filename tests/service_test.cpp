@@ -23,6 +23,7 @@
 #include "core/serial_counter.hpp"
 #include "data/generators.hpp"
 #include "kernels/mining_kernels.hpp"
+#include "planner/planner.hpp"
 #include "service/result_cache.hpp"
 #include "service/service.hpp"
 #include "service/session.hpp"
@@ -315,9 +316,13 @@ TEST(ServiceSession, MidBudgetMineTruncatesBetweenLevelsExactly) {
 
 TEST(ServiceSession, DefaultSessionAdmissionPredictsHostWall) {
   // The default ("auto") session must predict what the caller waits for.
-  // Counting 17,576 level-3 candidates over 20k events takes over 100 host
-  // milliseconds; a planner that scored simulated device time admitted this
-  // mine under a 100 ms budget (at 50k events, at ~12 ms predicted).  The
+  // Counting 17,576 level-3 candidates over 20k events is predicted at about
+  // 216 host ms on one thread.  cpu-single-scan splits that level by episode
+  // across the hardware threads, and the split's spawn term grows with the
+  // worker count, so levels 1-3 never predict under ~16 ms at any worker
+  // count (63 ms at 4 workers), while levels 1-2 predict 8.7 ms.  A planner
+  // that scored simulated device time predicts about 5 ms for all three
+  // levels and would admit the whole mine under the 12 ms budget.  The
   // stream is kept at 20k so the serial oracle below stays affordable under
   // the thread sanitizer.
   data::Dataset dataset = make_dataset(26, 20'000, 7);
@@ -326,7 +331,21 @@ TEST(ServiceSession, DefaultSessionAdmissionPredictsHostWall) {
   MineRequest budgeted;
   budgeted.config.support_threshold = 0.0;
   budgeted.config.max_level = 3;
-  budgeted.limits.latency_budget_ms = 100.0;
+  budgeted.limits.latency_budget_ms = 12.0;
+
+  planner::PlannerOptions device_only;
+  device_only.enable_cpu = false;
+  double device_ms = 0.0;
+  for (const auto& [level, candidates] : {std::pair{1, 26}, {2, 676}, {3, 17'576}}) {
+    planner::Workload w;
+    w.db_size = 20'000;
+    w.episode_count = candidates;
+    w.level = level;
+    w.alphabet_size = 26;
+    device_ms += planner::plan_level(w, device_only).winner().predicted_ms;
+  }
+  EXPECT_LT(device_ms, budgeted.limits.latency_budget_ms);
+
   const MineResponse partial = session.mine(budgeted);
   ASSERT_EQ(partial.disposition, Disposition::kTruncated) << partial.rejection.reason;
   EXPECT_EQ(partial.rejection.code, ErrorCode::kAdmissionRejected);
