@@ -83,6 +83,7 @@
 #include "calib/fitter.hpp"
 #include "common/rng.hpp"
 #include "core/candidate_gen.hpp"
+#include "core/cpu_backend.hpp"
 #include "core/serial_counter.hpp"
 #include "data/generators.hpp"
 #include "distrib/distrib_backend.hpp"
@@ -282,6 +283,11 @@ int run_planner_validation(const Options& opt, const gm::core::Alphabet& alphabe
         gm::calib::FitSample sample;
         sample.workload = workload;
         sample.config = candidate.config;
+        // The backend split by episode on every usable CPU, whatever threads
+        // the table priced it on; fit against what ran.
+        if (sample.config.kind == planner::BackendKind::kCpuSingleScan) {
+          sample.config.threads = gm::core::usable_cpu_count();
+        }
         sample.device = popt.device;
         sample.cost_params = popt.cost_params;
         sample.measured_ms = best_ms;

@@ -65,7 +65,7 @@ double predict_sample_ms(const CalibrationProfile& profile, const FitSample& sam
   switch (sample.config.kind) {
     case BackendKind::kCpuSerial: return planner::predict_cpu_serial_ms(w, profile.cpu);
     case BackendKind::kCpuSingleScan:
-      return planner::predict_cpu_single_scan_ms(w, profile.cpu);
+      return planner::predict_cpu_single_scan_ms(w, sample.config.threads, profile.cpu);
     case BackendKind::kDistrib: {
       if (sample.config.distrib_gpu) {
         const gpusim::CostModel model(sample.cost_params);

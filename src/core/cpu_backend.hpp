@@ -4,7 +4,7 @@
 //   backend            per-level cost
 //   cpu-serial         O(|DB| * |eps|)
 //   cpu-single-scan    O(|DB| * (1 + |eps|/|alphabet|)), split by episode
-//                      across the hardware threads on large requests
+//                      across the usable CPUs on large requests
 //
 // cpu-single-scan replaces brute-force rescans with one pass driving all
 // automata through a waiting-symbol bucket index.  Every episode's automaton
@@ -33,35 +33,52 @@ class SerialCpuBackend final : public CountingBackend {
 
 /// Single-scan engine: one database pass drives all episode automata via the
 /// waiting-symbol bucket index (core/multi_counter.hpp).  Requests at or
-/// above the split threshold (single_scan_workers) run episode slices on
-/// every hardware thread; smaller ones stay on the calling thread.
+/// above the split threshold (single_scan_split) run episode slices on every
+/// usable CPU; smaller ones stay on the calling thread.  Every large request
+/// starts its own threads: N sessions mining large levels at once run N
+/// times usable_cpu_count() threads.
 class SingleScanCpuBackend final : public CountingBackend {
  public:
   [[nodiscard]] std::string name() const override { return "cpu-single-scan"; }
   [[nodiscard]] CountResult count(const CountRequest& request) override;
 };
 
+/// CPUs this process can run threads on at once: the scheduler affinity
+/// mask, capped by a cgroup CPU quota when one is set (a container limited
+/// to 2 CPUs on a 64-core host reads 2).  Read once per process.
+[[nodiscard]] int usable_cpu_count() noexcept;
+
 /// The worker count a host pool sized with `threads` will actually use: 0
-/// resolves to the hardware concurrency, and the result is never less than 1.
+/// resolves to usable_cpu_count(), and the result is never less than 1.
 [[nodiscard]] int resolved_thread_count(int threads) noexcept;
 
-/// Worker threads cpu-single-scan counts a request of this shape with: 1
-/// below 2^27 episode-events or below two episodes per hardware thread,
-/// otherwise resolved_thread_count(0).  The planner's cost curve calls this
-/// too, so the prediction follows the engine.
-[[nodiscard]] int single_scan_workers(std::int64_t episode_count,
-                                      std::int64_t event_count) noexcept;
+/// How cpu-single-scan counts one request: `workers` threads, the caller
+/// among them, claim `workers * slices_per_worker` contiguous episode slices
+/// through one cursor.
+struct SingleScanSplit {
+  int workers = 1;
+  int slices_per_worker = 1;
+};
 
-/// Episode slices handed out per worker: enough that a slow slice does not
-/// leave the other workers idle at the end.
-inline constexpr int kSingleScanSlicesPerWorker = 4;
+/// The split cpu-single-scan runs a request of this shape with on a host
+/// with `threads` usable CPUs: one worker below 2^27 episode-events or below
+/// two episodes per thread; otherwise every thread, with one slice per
+/// ~1,024 episodes (1 to 4 per worker).  Each slice pays a database pass, so
+/// few-episode requests, whose passes are mostly bucket probes, pay it once
+/// per worker; the paper's 17,576-candidate level gets 4 slices per worker,
+/// which keeps each slice's arena small and balances the tail.  The backend
+/// passes usable_cpu_count(); the planner's cost curve passes the threads it
+/// prices, so the prediction follows the engine.
+[[nodiscard]] SingleScanSplit single_scan_split(std::int64_t episode_count,
+                                                std::int64_t event_count,
+                                                int threads) noexcept;
 
-/// cpu-single-scan's counting with an explicit worker count (the backend
-/// passes single_scan_workers); exposed so tests can force the split on small
+/// cpu-single-scan's counting under an explicit split (the backend passes
+/// single_scan_split's); exposed so tests can force the split on small
 /// inputs.  Episodes are validated on the calling thread, and a worker's
 /// exception is rethrown here after every worker has joined.
 [[nodiscard]] std::vector<std::int64_t> count_single_scan_split(const CountRequest& request,
-                                                                int workers);
+                                                                SingleScanSplit split);
 
 /// Construct a CPU backend by name: "cpu-serial" or "cpu-single-scan"
 /// (unprefixed aliases accepted).  Returns nullptr for unknown names so

@@ -1,50 +1,22 @@
 #include "distrib/episode_job.hpp"
 
-#include <atomic>
-#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
 #include "core/cpu_backend.hpp"
+#include "core/parallel_tasks.hpp"
 #include "core/segment_counter.hpp"
 #include "core/serial_counter.hpp"
 
 namespace gm::distrib {
-namespace {
-
-/// Claim task indices from a shared counter on `threads` workers (inline when
-/// one suffices).  Tasks write disjoint preallocated slots; callers read
-/// after the join.
-template <typename Fn>
-void for_each_task(int threads, std::size_t tasks, Fn&& task_fn) {
-  const int workers = std::min<int>(core::resolved_thread_count(threads),
-                                    static_cast<int>(std::max<std::size_t>(tasks, 1)));
-  std::atomic<std::size_t> next{0};
-  auto drain = [&] {
-    for (;;) {
-      const std::size_t t = next.fetch_add(1, std::memory_order_relaxed);
-      if (t >= tasks) return;
-      task_fn(t);
-    }
-  };
-  if (workers <= 1) {
-    drain();
-    return;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) pool.emplace_back(drain);
-  for (auto& t : pool) t.join();
-}
-
-}  // namespace
 
 std::vector<std::int64_t> count_episodes_thread_level(
     std::span<const core::Symbol> database, std::span<const core::Episode> episodes,
     const EpisodeCountOptions& options) {
   for (const auto& e : episodes) gm::expects(!e.empty(), "cannot count an empty episode");
   std::vector<std::int64_t> counts(episodes.size(), 0);
-  for_each_task(options.threads, episodes.size(), [&](std::size_t e) {
+  const int workers = core::resolved_thread_count(options.threads);
+  core::for_each_task(workers, episodes.size(), [&](std::size_t e) {
     counts[e] = core::count_occurrences(episodes[e], database, options.semantics,
                                         options.expiry);
   });
@@ -65,7 +37,8 @@ std::vector<std::int64_t> count_episodes_block_level(
 
   // Map: one cold scan per (episode, chunk), claimed off a shared counter.
   std::vector<core::SegmentOutcome> cold(episodes.size() * chunk_count);
-  for_each_task(options.threads, cold.size(), [&](std::size_t task) {
+  const int workers = core::resolved_thread_count(options.threads);
+  core::for_each_task(workers, cold.size(), [&](std::size_t task) {
     const std::size_t e = task / chunk_count;
     const std::size_t c = task % chunk_count;
     cold[task] = core::scan_segment(episodes[e].symbols(), options.semantics, options.expiry,

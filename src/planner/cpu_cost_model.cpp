@@ -70,18 +70,20 @@ double predict_cpu_serial_ms(const Workload& w, const CpuCostConstants& c) {
   return ms;
 }
 
-double predict_cpu_single_scan_ms(const Workload& w, const CpuCostConstants& c) {
-  const int workers = core::single_scan_workers(w.episode_count, w.db_size);
-  if (workers == 1) return single_scan_one_thread_ms(w, c);
+double predict_cpu_single_scan_ms(const Workload& w, int host_threads,
+                                  const CpuCostConstants& c) {
+  const core::SingleScanSplit split =
+      core::single_scan_split(w.episode_count, w.db_size, host_threads);
+  if (split.workers == 1) return single_scan_one_thread_ms(w, c);
   // Episode split: each worker drives the whole database once per slice it
   // claims, in parallel with the others, and the per-episode work (drains,
   // deadlines, or the dense steps) divides across the workers.
-  const double passes = static_cast<double>(core::kSingleScanSlicesPerWorker);
+  const double passes = static_cast<double>(split.slices_per_worker);
   const double probe_ms =
       w.semantics == core::Semantics::kContiguousRestart ? 0.0 : single_scan_probe_ms(w, c);
   const double per_episode_ms = single_scan_one_thread_ms(w, c) - probe_ms;
-  return passes * probe_ms + per_episode_ms / static_cast<double>(workers) +
-         spawn_ms(workers, c);
+  return passes * probe_ms + per_episode_ms / static_cast<double>(split.workers) +
+         spawn_ms(split.workers, c);
 }
 
 double predict_cpu_distrib_ms(const Workload& w, int shards, const CpuCostConstants& c) {

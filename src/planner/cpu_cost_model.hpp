@@ -8,9 +8,10 @@
 //   cpu-serial        |DB| * |eps| automaton steps
 //   cpu-single-scan   |DB| probes + |DB| * |eps| * drain_rate drains
 //                     (contiguous restart falls back to the dense scan);
-//                     split by episode over W = core::single_scan_workers
-//                     threads: |DB| probes per slice pass, the per-episode
-//                     terms / W, plus per-worker spawn cost
+//                     split by episode over W threads (core::single_scan_split
+//                     on the host threads priced): |DB| probes per slice
+//                     pass, the per-episode terms / W, plus per-worker spawn
+//                     cost
 //   distrib-xN        one-thread single-scan map / N + chunk-ordered fold +
 //                     boundary rescans + per-chunk steal cost + per-worker
 //                     spawn cost
@@ -74,7 +75,11 @@ inline constexpr int kPlannedStealGranularity = 4;
 /// CalibrationProfile's cpu part (calib/) to predict for the measured host
 /// instead.
 [[nodiscard]] double predict_cpu_serial_ms(const Workload& w, const CpuCostConstants& c = {});
-[[nodiscard]] double predict_cpu_single_scan_ms(const Workload& w,
+
+/// cpu-single-scan's curve when its episode split may use `host_threads`
+/// CPUs: 1 prices the one-thread engine; core::usable_cpu_count() prices
+/// what the backend runs on this host.
+[[nodiscard]] double predict_cpu_single_scan_ms(const Workload& w, int host_threads,
                                                 const CpuCostConstants& c = {});
 
 /// The distrib backend's host curve: the single-scan map split over `shards`

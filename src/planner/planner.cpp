@@ -19,16 +19,26 @@ std::string fmt_ms(double ms) {
   return buf;
 }
 
-ScoredCandidate score_cpu(const Workload& w, BackendKind kind,
-                          const CpuCostConstants& constants) {
+/// Host threads cpu-single-scan's episode split is priced on.  A plan without
+/// the simulated-device family predicts the wall a caller waits for ("auto",
+/// session admission), so it prices the split the backend runs on this host.
+/// A plan that ranks modeled device ms beside the host rows (the
+/// paper-reproduction tables) prices one thread, so its table does not
+/// depend on the machine that prints it.
+int priced_host_threads(const PlannerOptions& options) {
+  return options.enable_gpu ? 1 : core::usable_cpu_count();
+}
+
+ScoredCandidate score_cpu(const Workload& w, BackendKind kind, const PlannerOptions& options) {
   ScoredCandidate c;
   c.config.kind = kind;
   c.feasible = true;
   if (kind == BackendKind::kCpuSerial) {
-    c.predicted_ms = predict_cpu_serial_ms(w, constants);
+    c.predicted_ms = predict_cpu_serial_ms(w, options.cpu_constants);
     c.reason = "single-core reference scan";
   } else {
-    c.predicted_ms = predict_cpu_single_scan_ms(w, constants);
+    c.config.threads = priced_host_threads(options);
+    c.predicted_ms = predict_cpu_single_scan_ms(w, c.config.threads, options.cpu_constants);
     c.reason = w.semantics == core::Semantics::kContiguousRestart
                    ? "dense single scan (contiguous restart)"
                    : "bucket-indexed single scan";
@@ -217,9 +227,8 @@ Plan plan_level(const Workload& workload, const PlannerOptions& options) {
   plan.workload = workload;
 
   if (options.enable_cpu) {
-    plan.table.push_back(score_cpu(workload, BackendKind::kCpuSerial, options.cpu_constants));
-    plan.table.push_back(
-        score_cpu(workload, BackendKind::kCpuSingleScan, options.cpu_constants));
+    plan.table.push_back(score_cpu(workload, BackendKind::kCpuSerial, options));
+    plan.table.push_back(score_cpu(workload, BackendKind::kCpuSingleScan, options));
   }
   if (options.enable_gpu) {
     gm::expects(!options.tpb_sweep.empty(),

@@ -51,7 +51,8 @@ enum class BackendKind {
 /// the backend it names.
 struct CandidateConfig {
   BackendKind kind = BackendKind::kCpuSerial;
-  /// kDistrib only: the device/shard count (1 for every other kind).
+  /// kDistrib: the device/shard count.  kCpuSingleScan: the host threads
+  /// its episode split was priced on.  1 for every other kind.
   int threads = 1;
   /// gpusim only (kDistrib with distrib_gpu: the launch each card runs).
   kernels::Algorithm algorithm = kernels::Algorithm::kThreadTexture;
@@ -113,7 +114,10 @@ struct PlannerOptions {
   /// device ms.  On for the paper-reproduction drivers; off wherever the
   /// prediction must be the host wall a caller waits for:
   /// service::planner_options_for ("auto", session admission) and a
-  /// shootout validating only host backends.
+  /// shootout validating only host backends.  With it off, cpu-single-scan
+  /// is priced on every usable CPU (the episode split the backend runs);
+  /// with it on, on one thread, so the paper tables do not depend on the
+  /// machine.
   bool enable_gpu = true;
   /// Reject formulations that return approximate counts for the requested
   /// semantics (the block-level kernels' overlap-rescan approximation under

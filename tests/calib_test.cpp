@@ -259,13 +259,9 @@ TEST(CalibrationFitter, RecoversPerturbedCpuConstantsFromSyntheticSamples) {
 
   EXPECT_NEAR(fitted.cpu.serial_step_ns, 3.3, 0.1);
   EXPECT_NEAR(fitted.cpu.scan_dense_step_ns, 0.75, 0.05);
-  // Untouched-by-any-sample constants keep their shipped values.  (Not
-  // thread_spawn_us: the 160-episode single-scan samples at 1M events and
-  // up cross the episode-split threshold and pay the spawn term.)
-  EXPECT_DOUBLE_EQ(fitted.cpu.distrib_merge_ns,
-                   planner::CpuCostConstants{}.distrib_merge_ns);
-  EXPECT_DOUBLE_EQ(fitted.cpu.distrib_steal_ns,
-                   planner::CpuCostConstants{}.distrib_steal_ns);
+  // Untouched-by-any-sample constants keep their shipped values.
+  EXPECT_DOUBLE_EQ(fitted.cpu.thread_spawn_us,
+                   planner::CpuCostConstants{}.thread_spawn_us);
   // A refit on the same samples is stable (no drift on re-entry).
   CalibrationProfile refitted = fitted;
   const FitReport again = fit_profile(refitted, samples);

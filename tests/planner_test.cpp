@@ -213,8 +213,8 @@ TEST(Planner, SkewedFrequenciesLowerBucketIndexedPredictions) {
   skewed.symbol_freq = data::zipf_frequencies(64, 1.0);
 
   const CpuCostConstants constants;
-  EXPECT_LT(predict_cpu_single_scan_ms(skewed, constants),
-            predict_cpu_single_scan_ms(uniform, constants));
+  EXPECT_LT(predict_cpu_single_scan_ms(skewed, 1, constants),
+            predict_cpu_single_scan_ms(uniform, 1, constants));
   // Dense backends are occupancy-blind: unchanged by skew.
   EXPECT_DOUBLE_EQ(predict_cpu_serial_ms(skewed, constants),
                    predict_cpu_serial_ms(uniform, constants));
@@ -230,31 +230,69 @@ TEST(Planner, SingleScanCurveFollowsTheEpisodeSplit) {
                                              static_cast<double>(w.alphabet_size) *
                                              c.scan_drain_ns * 1e-6;
   };
-  // Below the split threshold (a service count over 100,000 events) the
-  // curve is the one-thread curve.
   Workload service = basic_workload();
   service.db_size = 100'000;
   service.episode_count = 128;
   service.level = 3;
-  EXPECT_EQ(core::single_scan_workers(service.episode_count, service.db_size), 1);
-  EXPECT_DOUBLE_EQ(predict_cpu_single_scan_ms(service, c), one_thread_ms(service));
-
-  // The paper's level 3: every worker drives the database once per slice
-  // and takes 1/W of the drains, plus the spawn cost.
   Workload paper = basic_workload();
   paper.episode_count = 17'576;
   paper.level = 3;
-  const int workers = core::single_scan_workers(paper.episode_count, paper.db_size);
-  const double probe_ms = static_cast<double>(paper.db_size) * c.scan_probe_ns * 1e-6;
-  const double split_ms =
-      workers == 1 ? one_thread_ms(paper)
-                   : core::kSingleScanSlicesPerWorker * probe_ms +
-                         (one_thread_ms(paper) - probe_ms) / workers +
-                         workers * c.thread_spawn_us * 1e-3;
-  EXPECT_NEAR(predict_cpu_single_scan_ms(paper, c), split_ms, 1e-9 * split_ms);
+  // A large alphabet and few episodes over a long stream: the passes are
+  // mostly probes.
+  Workload sparse = basic_workload();
+  sparse.db_size = 2'100'000;
+  sparse.episode_count = 64;
+  sparse.level = 2;
+  sparse.alphabet_size = 200;
+
+  for (const int threads : {1, 2, 4, 8, 16, 64}) {
+    EXPECT_EQ(core::single_scan_split(paper.episode_count, paper.db_size, threads).workers,
+              threads);
+    // Below the split threshold (a service count over 100,000 events) the
+    // curve is the one-thread curve.
+    EXPECT_DOUBLE_EQ(predict_cpu_single_scan_ms(service, threads, c), one_thread_ms(service));
+    // Above it, every worker drives the database once per slice it claims
+    // and takes 1/W of the drains, plus the spawn cost.
+    for (const Workload& w : {paper, sparse}) {
+      const core::SingleScanSplit split =
+          core::single_scan_split(w.episode_count, w.db_size, threads);
+      const double probe_ms = static_cast<double>(w.db_size) * c.scan_probe_ns * 1e-6;
+      const double split_ms =
+          split.workers == 1 ? one_thread_ms(w)
+                             : split.slices_per_worker * probe_ms +
+                                   (one_thread_ms(w) - probe_ms) / split.workers +
+                                   split.workers * c.thread_spawn_us * 1e-3;
+      EXPECT_NEAR(predict_cpu_single_scan_ms(w, threads, c), split_ms, 1e-9 * split_ms);
+      // The split never prices above the engine it replaces.
+      EXPECT_LE(predict_cpu_single_scan_ms(w, threads, c), one_thread_ms(w)) << threads;
+    }
+  }
   // distrib's map divides the one-thread engine by its shards; it must not
   // also divide by the single-scan split.
   EXPECT_GT(predict_cpu_distrib_ms(paper, 1, c), one_thread_ms(paper));
+}
+
+TEST(Planner, OnlyHostWallPlansPriceTheEpisodeSplit) {
+  // The paper-reproduction tables (PlannerOptions{}) price one thread, so
+  // they read the same on every machine; "auto" prices every usable CPU.
+  Workload paper = basic_workload();
+  paper.episode_count = 17'576;
+  paper.level = 3;
+  const auto single_scan_row = [&](const PlannerOptions& options) {
+    const Plan plan = plan_level(paper, options);
+    const auto row = std::find_if(plan.table.begin(), plan.table.end(), [](const auto& c) {
+      return c.config.kind == BackendKind::kCpuSingleScan;
+    });
+    EXPECT_NE(row, plan.table.end());
+    return *row;
+  };
+  const ScoredCandidate paper_row = single_scan_row(PlannerOptions{});
+  EXPECT_EQ(paper_row.config.threads, 1);
+  EXPECT_DOUBLE_EQ(paper_row.predicted_ms, predict_cpu_single_scan_ms(paper, 1));
+  const ScoredCandidate host_row = single_scan_row(service::planner_options_for({.name = "auto"}));
+  EXPECT_EQ(host_row.config.threads, core::usable_cpu_count());
+  EXPECT_DOUBLE_EQ(host_row.predicted_ms,
+                   predict_cpu_single_scan_ms(paper, core::usable_cpu_count()));
 }
 
 TEST(Planner, WorkloadOfMeasuresShapeAndSkew) {

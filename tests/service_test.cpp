@@ -318,8 +318,8 @@ TEST(ServiceSession, DefaultSessionAdmissionPredictsHostWall) {
   // The default ("auto") session must predict what the caller waits for.
   // Counting 17,576 level-3 candidates over 20k events is predicted at about
   // 216 host ms on one thread.  cpu-single-scan splits that level by episode
-  // across the hardware threads, and the split's spawn term grows with the
-  // worker count, so levels 1-3 never predict under ~16 ms at any worker
+  // across the usable CPUs, and the split's spawn term grows with the worker
+  // count, so levels 1-3 never predict under ~16 ms at any worker
   // count (63 ms at 4 workers), while levels 1-2 predict 8.7 ms.  A planner
   // that scored simulated device time predicts about 5 ms for all three
   // levels and would admit the whole mine under the 12 ms budget.  The
