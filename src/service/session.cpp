@@ -97,19 +97,21 @@ MiningSession::MiningSession(data::Dataset dataset, SessionOptions options)
 
 void MiningSession::load_locked(data::Dataset dataset) {
   gm::expects(!dataset.events.empty(), "session database must be non-empty");
+  // One pass validates, digests and counts the stream; the session's state
+  // changes only once every symbol has passed.
+  Digest digest;
+  digest.mix(static_cast<std::uint64_t>(dataset.alphabet.size()));
+  std::vector<std::int64_t> counts(static_cast<std::size_t>(dataset.alphabet.size()), 0);
   for (const core::Symbol s : dataset.events) {
     gm::expects(dataset.alphabet.contains(s), "session database symbol outside its alphabet");
+    digest.mix(static_cast<std::uint64_t>(s));
+    ++counts[s];
   }
   dataset_ = std::move(dataset);
   ++generation_;
-  db_digest_state_ = Digest();
-  db_digest_state_.mix(static_cast<std::uint64_t>(dataset_.alphabet.size()));
-  for (const core::Symbol s : dataset_.events) {
-    db_digest_state_.mix(static_cast<std::uint64_t>(s));
-  }
-  db_digest_ = db_digest_state_.value();
-  symbol_counts_.assign(static_cast<std::size_t>(dataset_.alphabet.size()), 0);
-  for (const core::Symbol s : dataset_.events) ++symbol_counts_[s];
+  db_digest_state_ = digest;
+  db_digest_ = digest.value();
+  symbol_counts_ = std::move(counts);
   refresh_symbol_freq_locked();
   monitors_.clear();  // their scans describe the replaced stream
 }

@@ -170,6 +170,29 @@ TEST(ServiceSession, ReloadInvalidatesCachesAndBumpsGeneration) {
   expect_same_mining(fresh.result, want);
 }
 
+TEST(ServiceSession, RejectedReloadKeepsTheLoadedStream) {
+  // Validation, digest and symbol counts share one pass over the new
+  // stream; a symbol outside the alphabet must leave the loaded stream, its
+  // generation and its warm cache exactly as they were.
+  data::Dataset first = make_dataset(8, 3000, 1);
+  MiningSession session(first, {.backend = {.name = "cpu-serial"}});
+  MineRequest request;
+  request.config.support_threshold = 0.001;
+  request.config.max_level = 2;
+  const MineResponse warm = session.mine(request);
+  ASSERT_EQ(warm.disposition, Disposition::kServed);
+  const std::vector<double> freq = session.measured_frequencies();
+
+  data::Dataset bad = make_dataset(8, 3000, 999);
+  bad.events[2000] = 8;  // one past the 8-symbol alphabet
+  EXPECT_THROW(session.reload(bad), gm::Error);
+  EXPECT_EQ(session.generation(), 1u);
+  EXPECT_EQ(session.measured_frequencies(), freq);
+  const MineResponse again = session.mine(request);
+  EXPECT_EQ(again.disposition, Disposition::kCached);
+  EXPECT_EQ(again.cache_key, warm.cache_key);
+}
+
 TEST(ServiceSession, AppendKeepsCachesWarmWhereReloadInvalidates) {
   // The cache-coherence contract that separates the two database mutations:
   // reload() clears both caches (its events are unrelated to the old ones),
