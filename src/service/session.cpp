@@ -1,6 +1,7 @@
 #include "service/session.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <iomanip>
 #include <sstream>
@@ -101,7 +102,7 @@ void MiningSession::load_locked(data::Dataset dataset) {
   // changes only once every symbol has passed.
   Digest digest;
   digest.mix(static_cast<std::uint64_t>(dataset.alphabet.size()));
-  std::vector<std::int64_t> counts(static_cast<std::size_t>(dataset.alphabet.size()), 0);
+  std::array<std::int64_t, 256> counts{};  // one slot per 8-bit symbol
   for (const core::Symbol s : dataset.events) {
     gm::expects(dataset.alphabet.contains(s), "session database symbol outside its alphabet");
     digest.mix(static_cast<std::uint64_t>(s));
@@ -111,7 +112,8 @@ void MiningSession::load_locked(data::Dataset dataset) {
   ++generation_;
   db_digest_state_ = digest;
   db_digest_ = digest.value();
-  symbol_counts_ = std::move(counts);
+  symbol_counts_.assign(counts.begin(),
+                        counts.begin() + static_cast<std::ptrdiff_t>(dataset_.alphabet.size()));
   refresh_symbol_freq_locked();
   monitors_.clear();  // their scans describe the replaced stream
 }
