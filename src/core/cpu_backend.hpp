@@ -65,10 +65,10 @@ struct SingleScanSplit {
 /// two episodes per thread; otherwise every thread, with one slice per
 /// ~1,024 episodes (1 to 4 per worker).  Each slice pays a database pass, so
 /// few-episode requests, whose passes are mostly bucket probes, pay it once
-/// per worker; the paper's 17,576-candidate level gets 4 slices per worker,
-/// which keeps each slice's arena small and balances the tail.  The backend
-/// passes usable_cpu_count(); the planner's cost curve passes the threads it
-/// prices, so the prediction follows the engine.
+/// per worker; on 4 CPUs the paper's 17,576-candidate level gets 4 slices
+/// per worker, which keeps each slice's arena small and balances the tail.
+/// The backend passes usable_cpu_count(); the planner's cost curve passes
+/// the threads it prices, so the prediction follows the engine.
 [[nodiscard]] SingleScanSplit single_scan_split(std::int64_t episode_count,
                                                 std::int64_t event_count,
                                                 int threads) noexcept;
