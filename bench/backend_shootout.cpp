@@ -7,7 +7,7 @@
 //     (cpu-single-scan), whose per-symbol work is |episodes|/|alphabet|
 //   * stream length (--db) and candidate count (--episodes): favor splitting
 //     the stream over work-stealing single-scan workers (distrib-xN, one
-//     worker per hardware thread)
+//     worker per usable CPU)
 //
 // The default configuration is a large-alphabet, long-stream shape where the
 // single-scan engines beat the serial reference by an order of magnitude.

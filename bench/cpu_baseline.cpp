@@ -1,6 +1,6 @@
 // CPU baselines vs. the simulated GPU: the single-core reference miner (the
 // GMiner-class tool the paper motivates against) and the multicore distrib
-// backend (work-stealing single-scan shards, one per hardware thread), on a
+// backend (work-stealing single-scan shards, one per usable CPU), on a
 // reduced database so the bench completes in seconds.
 // The GPU side reports the *predicted device time* for the same workload at
 // full paper scale, for context.

@@ -42,7 +42,7 @@ std::unique_ptr<core::CountingBackend> make_backend(const BackendSpec& spec) {
   if (spec.name == "distrib" || spec.name == "distrib-gpu") {
     distrib::DistribOptions options;
     const bool gpu = spec.name == "distrib-gpu";
-    // Host flavor defaults to one shard per hardware thread; the card flavor
+    // Host flavor defaults to one shard per usable CPU; the card flavor
     // to the paper's dual-die 9800 GX2 deployment.
     options.shards = spec.shards > 0 ? spec.shards
                      : gpu           ? 2
